@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint staticcheck fmt vet ci
+.PHONY: build test race bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint staticcheck fmt vet perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -85,8 +85,9 @@ scale-smoke:
 	$(GO) test -race -run TestScaleSmoke -v ./internal/bench/
 
 # Timed fuzz over the core free pool, the host-tier/map-reference
-# differential, the fork/CoW lifecycle and the fleet-directory/
-# map-reference differential (the CI fuzz step): the seeded corpora
+# differential, the fork/CoW lifecycle, the prefix-hash memo against
+# cold PrefixHash walks and the fleet-directory/map-reference
+# differential (the CI fuzz step): the seeded corpora
 # always run as part of `make test`; this explores beyond them.
 # `go test -fuzz` takes one target per run, so each gets its own
 # budget.
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzFreePool -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzHostTier -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzForkLifecycle -fuzztime 5s ./internal/core
+	$(GO) test -run NONE -fuzz FuzzHashMemo -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzFleetDirectory -fuzztime 5s ./internal/fleet
 
 # jengalint: the repo's own analyzers (internal/analysis) — the
@@ -122,5 +124,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: vet lint build test race chaos-smoke scale-smoke
+# The benchmark (perfbench/) is a module of its own, so the root
+# ./... patterns above never reach it: vet it and run its short tests
+# from inside.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+ci: vet lint build test race chaos-smoke scale-smoke perfbench-test
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

@@ -67,9 +67,9 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 // TestWarmLookupZeroAlloc pins the warm-lookup budget on the exact
 // fixture the committed benchmark trajectory measures: after the first
 // lookup hashes the prompt, repeat lookups over the same live sequence
-// extend the per-group scratch incrementally and allocate nothing
-// (buildView's contract — the scratch lives on the group, and nothing
-// returned from Lookup outlives the call).
+// extend the per-scope hash memo incrementally and allocate nothing
+// (the memo lives on the manager, each view in its group's scratch,
+// and nothing returned from Lookup outlives the call).
 func TestWarmLookupZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
@@ -89,6 +89,34 @@ func TestWarmLookupZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm prefix lookup allocates %.2f objects per call, want 0", allocs)
+	}
+}
+
+// TestClaimColdPrefixAllocBudget bounds the cold admission of a
+// shared-prefix prompt (fresh-ID lookup, claim of 64 cached blocks per
+// group, release) on the claim_cold_prefix fixture. Prefix hashing
+// itself allocates nothing — the hash memo reuses its capacity across
+// requests — so the budget is the measured constant of the claim and
+// release: per-request state, the page tables, and the evictor's heap
+// pushes as the claimed pages return to the cache.
+func TestClaimColdPrefixAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	op, err := bench.ClaimColdPrefix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	iter := 0
+	allocs := testing.AllocsPerRun(64, func() {
+		if err := op.Run(iter); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	})
+	const budget = 266
+	if allocs > budget {
+		t.Fatalf("cold prefix admission allocates %.2f objects per request, budget %d", allocs, budget)
 	}
 }
 

@@ -6,7 +6,7 @@ package jenga_test
 // commits their ns/op and allocs/op to BENCH_core.json so the perf
 // trajectory has data points and regressions surface in review. Run
 //
-//	go test -bench='AllocSmall|ClaimRelease|LookupWarm|CommitDecode|RunStep' -benchmem .
+//	go test -bench='AllocSmall|ClaimRelease|ClaimColdPrefix|LookupWarm|CommitDecode|RunStep' -benchmem .
 //
 // See each fixture's doc comment for the regime it pins down.
 
@@ -33,6 +33,10 @@ func BenchmarkAllocSmall(b *testing.B) { benchOp(b, bench.AllocSmall) }
 // BenchmarkClaimRelease: a one-block prefix-cache claim and release
 // that re-keys a 4096-page large page for the step-3 LRU.
 func BenchmarkClaimRelease(b *testing.B) { benchOp(b, bench.ClaimRelease) }
+
+// BenchmarkClaimColdPrefix: a fresh-ID lookup, reserve and release of
+// a 1,072-token prompt with a cached 1,024-token prefix on Gemma-2-2B.
+func BenchmarkClaimColdPrefix(b *testing.B) { benchOp(b, bench.ClaimColdPrefix) }
 
 // BenchmarkLookupWarm: admission-path prefix lookup over a fully
 // cached 8k-token prompt.

@@ -61,6 +61,7 @@ var All = []struct {
 }{
 	{"alloc_small", AllocSmall},
 	{"claim_release", ClaimRelease},
+	{"claim_cold_prefix", ClaimColdPrefix},
 	{"lookup_warm", LookupWarm},
 	{"commit_decode", CommitDecode},
 	{"run_step_steady_state", RunStepSteadyState},
@@ -179,6 +180,75 @@ func ClaimRelease() (*Op, error) {
 		mgr.Release(probe, true)
 		return nil
 	}}, nil
+}
+
+// ClaimColdPrefix measures the cold admission of a shared-prefix
+// prompt on the Gemma-2-2B model (full and sliding-window groups,
+// both over every token): a fresh request ID looks up a 1,072-token
+// prompt whose first 1,024 tokens are cached, then reserves it —
+// claiming the 64 cached blocks per group and allocating the uncached
+// tail — and releases it. The release runs before any commit, so the
+// tail frees and the prefix returns to the cache: every iteration
+// sees the same state. This is the per-request prefix-cache cost of
+// the streamed shared-prefix workloads; lookup_warm re-probes one ID
+// and claim_release claims only one block.
+func ClaimColdPrefix() (*Op, error) {
+	spec, err := model.ByName("gemma2-2b")
+	if err != nil {
+		return nil, err
+	}
+	const prefix, prompt = 1024, 1072
+	var mgr *core.Jenga
+	// warm builds a manager holding only the cached prefix. Every
+	// release re-queues the prefix pages on the lazy eviction heaps,
+	// which only eviction drains, so Recycle rebuilds it before the
+	// heaps grow out of the regime measured.
+	warm := func() error {
+		m, err := core.New(core.Config{
+			Spec: spec, CapacityBytes: 1 << 30,
+			EnablePrefixCache: true, RequestAware: true,
+		})
+		if err != nil {
+			return err
+		}
+		base := &core.Sequence{ID: 1, PromptLen: prefix}
+		for i := 0; i < prefix; i++ {
+			base.Tokens = append(base.Tokens, core.Token{ID: int32(i + 1)})
+		}
+		if err := m.Reserve(base, prefix, 1); err != nil {
+			return err
+		}
+		m.Commit(base, prefix, 1)
+		m.Release(base, true)
+		mgr = m
+		return nil
+	}
+	if err := warm(); err != nil {
+		return nil, err
+	}
+	probe := &core.Sequence{PromptLen: prompt}
+	for i := 0; i < prompt; i++ {
+		id := int32(i + 1)
+		if i >= prefix {
+			id = int32(50_000 + i)
+		}
+		probe.Tokens = append(probe.Tokens, core.Token{ID: id})
+	}
+	return &Op{
+		Run: func(i int) error {
+			probe.ID = core.RequestID(100 + i)
+			if p := mgr.Lookup(probe); p != prefix {
+				return fmt.Errorf("bench: cold lookup hit %d tokens, want %d", p, prefix)
+			}
+			if err := mgr.Reserve(probe, prompt, core.Tick(i+2)); err != nil {
+				return err
+			}
+			mgr.Release(probe, true)
+			return nil
+		},
+		RecycleEvery: 1024,
+		Recycle:      func(int) error { return warm() },
+	}, nil
 }
 
 // LookupWarm measures the admission-path prefix lookup over a long

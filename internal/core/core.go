@@ -46,7 +46,11 @@ type Sequence struct {
 	// multiple models (§6.1); empty matches untagged groups only.
 	Tag string
 	// Tokens holds the prompt followed by generated tokens; the engine
-	// appends as decoding progresses.
+	// appends as decoding progresses. Tokens the manager has seen are
+	// never rewritten: only a tail appended since the last Lookup or
+	// Reserve may be truncated again (the engine rolls back a
+	// speculative decode token whose Reserve failed). The prefix-hash
+	// memo relies on this to extend incrementally.
 	Tokens []Token
 	// PromptLen is the number of leading prompt tokens (0 = all).
 	// Prefix-cache hits land at prompt boundaries, so window KV inside

@@ -34,8 +34,7 @@ func tok(letters string) []Token {
 func lastAccessOf(t *testing.T, m *Jenga, groupName string, tokens []Token, i int) Tick {
 	t.Helper()
 	g := m.groups[m.byName[groupName]]
-	hashes := blockHashes(tokens, 1)
-	id, ok := g.index[hashes[i]]
+	id, ok := g.index[PrefixHash(tokens, i+1)]
 	if !ok {
 		t.Fatalf("group %s: block %d not cached", groupName, i)
 	}
@@ -125,7 +124,7 @@ func TestBalancedEvictionAcrossGroups(t *testing.T) {
 	// buildView reuses per-group scratch, so snapshot Present before
 	// building another view of the same group.
 	present := func(g *group, tokens []Token) []bool {
-		v := m.buildView(g, 0, tokens, false)
+		v := m.buildView(g, m.memoFor(g, &Sequence{Tokens: tokens}), false)
 		return append([]bool(nil), v.Present...)
 	}
 
@@ -240,7 +239,7 @@ func TestImageAtomicEviction(t *testing.T) {
 	// last-access; priority decides. Evict twice: both evictions must
 	// hit the same image.
 	evicted := func() []bool {
-		v := m.buildView(g, 0, seq.Tokens, false)
+		v := m.buildView(g, m.memoFor(g, seq), false)
 		out := make([]bool, len(v.Present))
 		for k, ok := range v.Present {
 			out[k] = !ok
@@ -355,8 +354,7 @@ func TestMambaCheckpointTouchOnHit(t *testing.T) {
 	m.Release(b, true)
 
 	g := m.groups[m.byName["mamba"]]
-	proj, _ := project(a.Tokens, g.spec.StoresToken(true), g.spec.StoresToken(false))
-	h8 := prefixHash(proj, 8)
+	h8 := PrefixHash(a.Tokens, 8) // all-scope group: no projection
 	id, ok := g.index[h8]
 	if !ok {
 		t.Fatal("checkpoint at 8 missing")
@@ -364,7 +362,7 @@ func TestMambaCheckpointTouchOnHit(t *testing.T) {
 	if got := g.pages[id].lastAccess; got != 10 {
 		t.Errorf("checkpoint last access = %d, want 10 (touched at hit)", got)
 	}
-	h4 := prefixHash(proj, 4)
+	h4 := PrefixHash(a.Tokens, 4)
 	id4, ok := g.index[h4]
 	if !ok {
 		t.Fatal("checkpoint at 4 missing")

@@ -187,104 +187,52 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	if maxP <= 0 {
 		return 0, nil
 	}
-	type fleetView struct {
-		g        *group
-		view     *GroupSeqView
-		peerOnly []bool         // token groups: block index → peer-supplied
-		ckHash   map[int]uint64 // Mamba: projected position → chain hash
-		ckPeer   map[int]bool   // Mamba: position → peer-supplied
-	}
-	var views []fleetView
-	anyPresent := false
-	for _, g := range m.groups {
-		if g.isVision() || !g.appliesTo(seq) {
+	anyPresent := m.buildViews(seq, true)
+	// Overlay peer presence on every view, remembering which blocks
+	// (token groups, by block index) and checkpoints (Mamba, by
+	// projected position) only a peer supplies.
+	peerOnly := make([][]bool, len(m.lkViews))
+	ckPeer := make([]map[int]bool, len(m.lkViews))
+	for i, gv := range m.lkViews {
+		g, v, h := gv.g, gv.view, gv.memo
+		if g.spec.Kind == model.Mamba {
+			peers := make(map[int]bool)
+			local := v.CheckpointAt
+			every := g.spec.Checkpoint()
+			for pos := every; pos <= len(h.chain); pos += every {
+				if !local(pos) && peer(g.spec.Name, h.at(pos)) {
+					peers[pos] = true
+					anyPresent = true
+				}
+			}
+			v.CheckpointAt = func(pos int) bool { return local(pos) || peers[pos] }
+			ckPeer[i] = peers
 			continue
 		}
-		v := m.buildView(g, seq.ID, seq.Tokens, true)
-		fv := fleetView{g: g, view: v}
-		if g.spec.Kind == model.Mamba {
-			// Re-derive the checkpoint chain hashes (buildView keeps
-			// them private) and overlay peer presence on the closure.
-			storesImg := g.spec.StoresToken(true)
-			storesTxt := g.spec.StoresToken(false)
-			proj := seq.Tokens
-			if !(storesImg && storesTxt) {
-				proj = g.lkProj
+		peerOnly[i] = make([]bool, len(v.Present))
+		for k, ok := range v.Present {
+			if !ok && peer(g.spec.Name, h.at((k+1)*g.tpp)) {
+				v.Present[k] = true
+				peerOnly[i][k] = true
+				anyPresent = true
 			}
-			every := g.spec.Checkpoint()
-			fv.ckHash = make(map[int]uint64)
-			fv.ckPeer = make(map[int]bool)
-			h := blockHashSeed
-			for i, t := range proj {
-				h = hashChain(h, t)
-				if (i+1)%every == 0 {
-					fv.ckHash[i+1] = h
-				}
-			}
-			// Walk checkpoint positions in chain order rather than
-			// ranging ckHash: the peer() probe order stays
-			// deterministic.
-			local := v.CheckpointAt
-			for pos := every; pos <= len(proj); pos += every {
-				hh, ok := fv.ckHash[pos]
-				if !ok {
-					continue
-				}
-				if !local(pos) && peer(g.spec.Name, hh) {
-					fv.ckPeer[pos] = true
-					anyPresent = true
-				}
-			}
-			ckPeer := fv.ckPeer
-			v.CheckpointAt = func(pos int) bool { return local(pos) || ckPeer[pos] }
-			anyPresent = anyPresent || len(g.index) > 0 || m.host.groupSize(g.spec.Name) > 0
-		} else {
-			hashes := g.lkHashes
-			fv.peerOnly = make([]bool, len(hashes))
-			for k, hsh := range hashes {
-				if v.Present[k] {
-					anyPresent = true
-					continue
-				}
-				if peer(g.spec.Name, hsh) {
-					v.Present[k] = true
-					fv.peerOnly[k] = true
-					anyPresent = true
-				}
-			}
-			v.buildRuns()
 		}
-		views = append(views, fv)
+		v.buildRuns()
 	}
 	if !anyPresent {
 		return 0, nil
 	}
-	p := 0
-candidates:
-	for c := maxP; c > 0; c-- {
-		for i := range views {
-			fv := &views[i]
-			if fv.g.spec.Kind != model.Mamba && fv.view.ProjCount[c]%fv.g.tpp != 0 {
-				continue candidates
-			}
-			if !fv.g.pol.ValidPrefix(fv.view, c) {
-				continue candidates
-			}
-		}
-		p = c
-		break
-	}
+	p := m.longestValidPrefix(maxP)
 	if p == 0 {
 		return 0, nil
 	}
 	var fetch []FetchBlock
-	for i := range views {
-		fv := &views[i]
-		g := fv.g
-		pl := fv.view.ProjCount[p]
+	for i, gv := range m.lkViews {
+		g, h := gv.g, gv.memo
+		pl := h.projCount[p]
 		if g.spec.Kind == model.Mamba {
-			if fv.ckPeer[pl] {
-				fetch = append(fetch, FetchBlock{Group: g.spec.Name, Hash: fv.ckHash[pl]})
+			if ckPeer[i][pl] {
+				fetch = append(fetch, FetchBlock{Group: g.spec.Name, Hash: h.at(pl)})
 			}
 			continue
 		}
@@ -294,10 +242,9 @@ candidates:
 		if ka, ok := g.pol.(KeepAlive); ok {
 			keep = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
 		}
-		hashes := g.lkHashes
 		add := func(b int) {
-			if b < len(fv.peerOnly) && fv.peerOnly[b] {
-				fetch = append(fetch, FetchBlock{Group: g.spec.Name, Hash: hashes[b]})
+			if peerOnly[i][b] {
+				fetch = append(fetch, FetchBlock{Group: g.spec.Name, Hash: h.at((b + 1) * g.tpp)})
 			}
 		}
 		for b := 0; b < keep && b < lo; b++ {

@@ -1,5 +1,7 @@
 package core
 
+import "jenga/internal/model"
+
 // Block hashing for prefix caching. As in vLLM, a block's hash chains
 // the parent block's hash with the block's token IDs, so a hash value
 // identifies the entire prefix up to and including the block. Presence
@@ -24,77 +26,6 @@ func hashChain(parent uint64, tok Token) uint64 {
 	return x
 }
 
-// blockHashes returns the chained hash of every complete block of size
-// blockTokens over the projected token list. Element k covers projected
-// tokens [k*blockTokens, (k+1)*blockTokens).
-func blockHashes(tokens []Token, blockTokens int) []uint64 {
-	if blockTokens <= 0 {
-		return nil
-	}
-	n := len(tokens) / blockTokens
-	out := make([]uint64, n)
-	h := blockHashSeed
-	for k := 0; k < n; k++ {
-		for i := k * blockTokens; i < (k+1)*blockTokens; i++ {
-			h = hashChain(h, tokens[i])
-		}
-		out[k] = h
-	}
-	return out
-}
-
-// blockHashesInto is blockHashes appending into a caller-provided
-// slice (pass dst[:0] to reuse its capacity) — the warm-Lookup path
-// rebuilds per-group hash lists every call and reuses the scratch.
-func blockHashesInto(dst []uint64, tokens []Token, blockTokens int) []uint64 {
-	if blockTokens <= 0 {
-		return dst
-	}
-	n := len(tokens) / blockTokens
-	h := blockHashSeed
-	for k := 0; k < n; k++ {
-		for i := k * blockTokens; i < (k+1)*blockTokens; i++ {
-			h = hashChain(h, tokens[i])
-		}
-		dst = append(dst, h)
-	}
-	return dst
-}
-
-// extendBlockHashes appends the hashes of complete blocks not yet in
-// dst, resuming the chain from dst's last element (the chain value
-// after block k IS element k, so no rehash of covered tokens is
-// needed). With an empty dst it equals blockHashesInto(dst[:0], ...);
-// callers guarantee dst was built from a prefix of tokens.
-func extendBlockHashes(dst []uint64, tokens []Token, blockTokens int) []uint64 {
-	if blockTokens <= 0 {
-		return dst
-	}
-	n := len(tokens) / blockTokens
-	h := blockHashSeed
-	if len(dst) > 0 {
-		h = dst[len(dst)-1]
-	}
-	for k := len(dst); k < n; k++ {
-		for i := k * blockTokens; i < (k+1)*blockTokens; i++ {
-			h = hashChain(h, tokens[i])
-		}
-		dst = append(dst, h)
-	}
-	return dst
-}
-
-// prefixHash returns the chained hash over the first n projected
-// tokens; used to identify Mamba state checkpoints, which snapshot the
-// whole prefix at one position.
-func prefixHash(tokens []Token, n int) uint64 {
-	h := blockHashSeed
-	for i := 0; i < n && i < len(tokens); i++ {
-		h = hashChain(h, tokens[i])
-	}
-	return h
-}
-
 // PrefixHash returns the chained hash over the first n tokens (the
 // whole sequence when n exceeds it). It is the same chain prefix
 // caching publishes per block, so two requests that share a cached
@@ -104,57 +35,101 @@ func PrefixHash(tokens []Token, n int) uint64 {
 	if n > len(tokens) {
 		n = len(tokens)
 	}
-	return prefixHash(tokens, n)
+	h := blockHashSeed
+	for _, t := range tokens[:n] {
+		h = hashChain(h, t)
+	}
+	return h
 }
 
-// project returns the subsequence of tokens a group stores (its
-// "projected sequence") given the group's modality filter, plus the
-// mapping from projected index to full-sequence index.
-func project(tokens []Token, storesImage, storesText bool) ([]Token, []int) {
-	if storesImage && storesText {
-		idx := make([]int, len(tokens))
-		for i := range idx {
-			idx[i] = i
-		}
-		return tokens, idx
-	}
-	proj := make([]Token, 0, len(tokens))
-	idx := make([]int, 0, len(tokens))
-	for i, t := range tokens {
-		if (t.Image && storesImage) || (!t.Image && storesText) {
-			proj = append(proj, t)
-			idx = append(idx, i)
-		}
-	}
-	return proj, idx
+// hashMemo is the one prefix-hash path of the lookup side: for one
+// token scope, the projection of the most recently looked-up sequence
+// onto that scope and the chain value after every projected token.
+// Every consumer indexes it instead of walking tokens — block k of a
+// group with tpp tokens per block hashes to at((k+1)·tpp), a Mamba
+// checkpoint at projected position pos to at(pos), a claim's replay
+// state is at(pl) — so each prompt token is hashed once per scope no
+// matter how many groups, lookups and claims read it.
+type hashMemo struct {
+	// projCount[i] is the number of in-scope tokens among the first i
+	// (length n+1); it doubles as every same-scope view's ProjCount.
+	projCount []int
+	// chain[j] is the chain value after projected token j.
+	chain []uint64
+	// Identity of the n tokens covered. Sequence.Tokens only loses a
+	// tail the memo has not seen, so the same request on the same
+	// backing array with its first and n-th tokens intact is an
+	// append-only extension; a different request, a reallocated or
+	// aliased array, or a shorter sequence forces a rebuild.
+	id    RequestID
+	base  *Token
+	n     int
+	first Token
+	last  Token
 }
 
-// projectInto appends the projected subsequence to dst (pass dst[:0]
-// to reuse capacity). Callers that need the index mapping use project;
-// the Lookup path only needs the tokens and reuses per-group scratch.
-func projectInto(dst []Token, tokens []Token, storesImage, storesText bool) []Token {
-	for _, t := range tokens {
-		if (t.Image && storesImage) || (!t.Image && storesText) {
-			dst = append(dst, t)
-		}
+// at returns the chain value over the first pos projected tokens.
+//
+//jenga:hotpath
+func (h *hashMemo) at(pos int) uint64 {
+	if pos == 0 {
+		return blockHashSeed
 	}
-	return dst
+	return h.chain[pos-1]
 }
 
-// projectedLen returns how many of the first p full-sequence tokens a
-// group with the given modality filter stores.
-func projectedLen(tokens []Token, p int, storesImage, storesText bool) int {
-	if storesImage && storesText {
-		if p > len(tokens) {
-			return len(tokens)
-		}
-		return p
+// lastRun returns, over the first p tokens, the full-sequence index of
+// the last in-scope token (-1 when there is none) and the chain value
+// just before the contiguous in-scope run ending there — the
+// lastFullIdx and runChain commitGroup would hold after committing
+// those p tokens.
+//
+//jenga:hotpath
+func (h *hashMemo) lastRun(p int) (runChain uint64, last int) {
+	pc := h.projCount
+	last = p - 1
+	for last >= 0 && pc[last+1] == pc[last] {
+		last--
 	}
-	n := 0
-	for i := 0; i < p && i < len(tokens); i++ {
-		if (tokens[i].Image && storesImage) || (!tokens[i].Image && storesText) {
-			n++
-		}
+	if last < 0 {
+		return blockHashSeed, -1
 	}
-	return n
+	s := last
+	for s > 0 && pc[s] > pc[s-1] {
+		s--
+	}
+	return h.at(pc[s]), last
+}
+
+// memoFor returns the hash memo of g's token scope extended over seq's
+// tokens: the whole memo when seq is not the sequence it covers, only
+// the new tail when it is.
+//
+//jenga:hotpath
+func (m *Jenga) memoFor(g *group, seq *Sequence) *hashMemo {
+	s := g.spec.Scope
+	if s != model.ScopeText && s != model.ScopeImage {
+		s = model.ScopeAll // StoresToken treats any other scope as all
+	}
+	h := &m.memos[s]
+	tokens := seq.Tokens
+	if h.n == 0 || h.id != seq.ID || len(tokens) < h.n || h.base != &tokens[0] ||
+		h.first != tokens[0] || h.last != tokens[h.n-1] {
+		h.projCount = append(h.projCount[:0], 0)
+		h.chain = h.chain[:0]
+		h.n = 0
+	}
+	c := h.at(len(h.chain))
+	for _, t := range tokens[h.n:] {
+		if g.spec.StoresToken(t.Image) {
+			c = hashChain(c, t)
+			h.chain = append(h.chain, c)
+		}
+		h.projCount = append(h.projCount, len(h.chain))
+	}
+	h.id, h.n = seq.ID, len(tokens)
+	if h.n > 0 {
+		h.base, h.first, h.last = &tokens[0], tokens[0], tokens[h.n-1]
+	}
+	return h
 }

@@ -177,37 +177,61 @@ func (m *Jenga) lookupPrefix(seq *Sequence, useHost bool) int {
 		return 0
 	}
 	maxP := len(seq.Tokens) - 1 // at least one token must run
-	if maxP <= 0 {
+	if maxP <= 0 || !m.buildViews(seq, useHost) {
 		return 0
 	}
+	return m.longestValidPrefix(maxP)
+}
+
+// lookupView pairs a group with its Lookup view and its scope's hash
+// memo; lookupPrefix reuses the manager-level slice of them across
+// calls.
+type lookupView struct {
+	g    *group
+	view *GroupSeqView
+	memo *hashMemo
+}
+
+// buildViews fills m.lkViews with the Lookup view of every group that
+// gates KV hits for seq, and reports whether any of them could hit at
+// all (no present block and no checkpoint candidate means no prefix).
+//
+//jenga:hotpath
+func (m *Jenga) buildViews(seq *Sequence, useHost bool) bool {
 	views := m.lkViews[:0]
 	anyPresent := false
 	for _, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue // never gates KV hits
 		}
-		v := m.buildView(g, seq.ID, seq.Tokens, useHost)
+		h := m.memoFor(g, seq)
+		v := m.buildView(g, h, useHost)
 		for _, ok := range v.Present {
 			if ok {
 				anyPresent = true
 				break
 			}
 		}
-		if g.spec.Kind == model.Mamba && v.CheckpointAt != nil {
+		if g.spec.Kind == model.Mamba {
 			// Presence detection for Mamba handled via CheckpointAt in
 			// the candidate scan; mark possible presence cheaply.
 			anyPresent = anyPresent || len(g.index) > 0 ||
 				(useHost && m.host.groupSize(g.spec.Name) > 0)
 		}
-		views = append(views, lookupView{g, v})
+		views = append(views, lookupView{g, v, h})
 	}
 	m.lkViews = views
-	if !anyPresent {
-		return 0
-	}
+	return anyPresent
+}
+
+// longestValidPrefix scans m.lkViews for the longest prefix below
+// maxP that every group's policy validates.
+//
+//jenga:hotpath
+func (m *Jenga) longestValidPrefix(maxP int) int {
 candidates:
 	for p := maxP; p > 0; p-- {
-		for _, gv := range views {
+		for _, gv := range m.lkViews {
 			// Hit prefixes must project to whole blocks in every token
 			// group so claiming is block-exact.
 			if gv.g.spec.Kind != model.Mamba && gv.view.ProjCount[p]%gv.g.tpp != 0 {
@@ -222,129 +246,64 @@ candidates:
 	return 0
 }
 
-// lookupView pairs a group with its Lookup view; lookupPrefix reuses
-// the manager-level slice of them across calls.
-type lookupView struct {
-	g    *group
-	view *GroupSeqView
-}
-
-// buildView constructs the Lookup view of one group for sequence id.
-// With useHost, host-tier-resident blocks count as present. The view
-// is built into per-group scratch (g.lkView and friends); nothing
-// returned from Lookup outlives the call, so the warm-lookup path
-// allocates nothing.
-//
-// Presence (Present/presentRun and the Mamba checkpoint set) is
-// rebuilt in full on every call — the cache index mutates between
-// lookups, and LookupFleet overlays peer presence in place — but the
-// content-derived scratch (the projection, ProjCount and the block
-// hash chain) extends incrementally when this call sees the same
-// request on the same backing array with the cached prefix intact.
-// Callers only ever append to a live sequence's tokens (Submit and
-// Fork allocate fresh arrays), so append-only growth keeps the base
-// pointer, the first token and the token at the cached boundary
-// stable; a different request, a reallocated array or a truncation
-// breaks one of them and forces a full rebuild. This is what makes a
-// warm lookup over a long prompt stop rehashing the whole prefix.
+// buildView constructs the Lookup view of group g over the sequence
+// memo h covers. With useHost, host-tier-resident blocks count as
+// present. The view is built into per-group scratch (g.lkView) and its
+// ProjCount is the memo's, so the warm-lookup path allocates nothing
+// and hashes nothing: block k's identity is read from the memo.
 //
 //jenga:hotpath
-func (m *Jenga) buildView(g *group, id RequestID, tokens []Token, useHost bool) *GroupSeqView {
-	storesImg := g.spec.StoresToken(true)
-	storesTxt := g.spec.StoresToken(false)
-	done := 0
-	if g.lkSeqLen > 0 && g.lkSeqID == id && len(tokens) >= g.lkSeqLen &&
-		g.lkSeqBase == &tokens[0] && g.lkFirst == tokens[0] &&
-		g.lkLast == tokens[g.lkSeqLen-1] {
-		done = g.lkSeqLen
-	}
+func (m *Jenga) buildView(g *group, h *hashMemo, useHost bool) *GroupSeqView {
 	v := &g.lkView
 	v.BlockTokens = g.tpp
-	v.CheckpointAt = nil
-	if cap(v.ProjCount) >= len(tokens)+1 {
-		v.ProjCount = v.ProjCount[:len(tokens)+1]
-	} else {
-		pc := make([]int, len(tokens)+1)
-		if done > 0 {
-			copy(pc, v.ProjCount[:done+1])
-		}
-		v.ProjCount = pc
-	}
-	v.ProjCount[0] = 0
-	n := v.ProjCount[done]
-	for i := done; i < len(tokens); i++ {
-		if g.spec.StoresToken(tokens[i].Image) {
-			n++
-		}
-		v.ProjCount[i+1] = n
-	}
-	proj := tokens
-	if !(storesImg && storesTxt) {
-		g.lkProj = projectInto(g.lkProj[:v.ProjCount[done]], tokens[done:], storesImg, storesTxt)
-		proj = g.lkProj
-	}
-	if len(tokens) > 0 {
-		g.lkSeqID = id
-		g.lkSeqBase = &tokens[0]
-		g.lkSeqLen = len(tokens)
-		g.lkFirst = tokens[0]
-		g.lkLast = tokens[len(tokens)-1]
-	} else {
-		g.lkSeqLen = 0
-	}
+	v.ProjCount = h.projCount
 	if g.spec.Kind == model.Mamba {
-		every := g.spec.Checkpoint()
-		//jenga:alloc-ok Mamba checkpoint branch; the measured warm-lookup path is full-attention only
-		present := make(map[int]bool)
-		h := blockHashSeed
-		for i, t := range proj {
-			h = hashChain(h, t)
-			if (i+1)%every == 0 {
-				if id, ok := g.index[h]; ok {
-					pg := &g.pages[id]
-					if pg.hashed && pg.hash == h && pg.status != pageEmpty {
-						present[i+1] = true
-					}
-				}
-				if !present[i+1] && useHost {
-					if _, ok := m.host.lookup(g.spec.Name, h); ok {
-						present[i+1] = true
-					}
-				}
-			}
-		}
-		//jenga:alloc-ok Mamba checkpoint branch; the measured warm-lookup path is full-attention only
-		v.CheckpointAt = func(pos int) bool { return present[pos] }
-		v.Present = nil
-		v.buildRuns()
+		m.mambaPresence(g, h, v, useHost)
 		return v
 	}
-	if done == 0 {
-		g.lkHashes = g.lkHashes[:0]
-	}
-	g.lkHashes = extendBlockHashes(g.lkHashes, proj, g.tpp)
-	hashes := g.lkHashes
-	if cap(v.Present) >= len(hashes) {
-		v.Present = v.Present[:len(hashes)]
-		for k := range v.Present {
-			v.Present[k] = false
-		}
-	} else {
-		v.Present = make([]bool, len(hashes))
-	}
-	for k, h := range hashes {
-		if id, ok := g.index[h]; ok {
+	v.CheckpointAt = nil
+	nb := len(h.chain) / g.tpp
+	present := v.Present[:0]
+	for k := 0; k < nb; k++ {
+		hsh := h.chain[(k+1)*g.tpp-1]
+		ok := false
+		if id, found := g.index[hsh]; found {
 			pg := &g.pages[id]
-			v.Present[k] = pg.hashed && pg.hash == h && pg.status != pageEmpty
+			ok = pg.hashed && pg.hash == hsh && pg.status != pageEmpty
 		}
-		if !v.Present[k] && useHost {
-			if _, ok := m.host.lookup(g.spec.Name, h); ok {
-				v.Present[k] = true
+		if !ok && useHost {
+			_, ok = m.host.lookup(g.spec.Name, hsh)
+		}
+		present = append(present, ok)
+	}
+	v.Present = present
+	v.buildRuns()
+	return v
+}
+
+// mambaPresence fills a Mamba group's view: CheckpointAt reports the
+// checkpoints (every Checkpoint() projected tokens) whose prefix hash
+// is published, or with useHost tier-resident.
+func (m *Jenga) mambaPresence(g *group, h *hashMemo, v *GroupSeqView, useHost bool) {
+	every := g.spec.Checkpoint()
+	present := make(map[int]bool)
+	for pos := every; pos <= len(h.chain); pos += every {
+		hsh := h.at(pos)
+		if id, ok := g.index[hsh]; ok {
+			pg := &g.pages[id]
+			if pg.hashed && pg.hash == hsh && pg.status != pageEmpty {
+				present[pos] = true
+			}
+		}
+		if !present[pos] && useHost {
+			if _, ok := m.host.lookup(g.spec.Name, hsh); ok {
+				present[pos] = true
 			}
 		}
 	}
+	v.CheckpointAt = func(pos int) bool { return present[pos] }
+	v.Present = nil
 	v.buildRuns()
-	return v
 }
 
 // --- Reserve -------------------------------------------------------------
@@ -632,6 +591,8 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 // whose only copy lives one tier down are restored (H2D) as part of
 // the claim; if device memory runs out mid-restore, the claim rolls
 // back and falls back to the GPU-only prefix, which never allocates.
+//
+//jenga:hotpath
 func (m *Jenga) claim(seq *Sequence, r *reqState, now Tick) {
 	// An empty tier cannot assist any lookup, so skip the host passes
 	// (including the hostAssist probe below) until something spilled.
@@ -683,6 +644,8 @@ type pendingRestore struct {
 // false when a pass-2 allocation failed (partial state attached —
 // the caller rolls back). With useHost false it is the historical
 // claim, performs no allocation, and always succeeds.
+//
+//jenga:hotpath
 func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost bool) bool {
 	var pending []pendingRestore
 	for gi, g := range m.groups {
@@ -690,25 +653,17 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 		if g.isVision() || !g.appliesTo(seq) {
 			continue
 		}
-		storesImg := g.spec.StoresToken(true)
-		storesTxt := g.spec.StoresToken(false)
-		proj, fullIdx := project(seq.Tokens[:p], storesImg, storesTxt)
-		pl := len(proj)
-		// Replay hashing state through the claimed prefix.
-		rg.chain = blockHashSeed
-		rg.runChain = blockHashSeed
-		rg.lastFullIdx = -1
-		for j, t := range proj {
-			if rg.lastFullIdx != fullIdx[j]-1 {
-				rg.runChain = rg.chain
-			}
-			rg.lastFullIdx = fullIdx[j]
-			rg.chain = hashChain(rg.chain, t)
-		}
+		// Hashing state as if the prefix had been committed, read from
+		// the memo the lookup that chose p just extended.
+		h := m.memoFor(g, seq)
+		pl := h.projCount[p]
+		rg.chain = h.at(pl)
+		rg.runChain, rg.lastFullIdx = h.lastRun(p)
 		if g.spec.Kind == model.Mamba {
 			if useHost && pl > 0 {
 				if _, ok := g.index[rg.chain]; !ok {
 					if _, hok := m.host.lookup(g.spec.Name, rg.chain); hok {
+						//jenga:alloc-ok host-tier restores only; a GPU-resident claim appends nothing
 						pending = append(pending, pendingRestore{g: g, rg: rg, block: -1, hash: rg.chain, pl: pl})
 						continue
 					}
@@ -717,7 +672,9 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 			m.claimMamba(g, rg, pl, now)
 			continue
 		}
-		check(pl%g.tpp == 0, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
+		if pl%g.tpp != 0 {
+			check(false, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
+		}
 		nb := pl / g.tpp
 		rg.pages = make([]pageRef, nb)
 		lo := g.pol.AccessedFrom(pl) / g.tpp
@@ -725,31 +682,11 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 		if ka, ok := g.pol.(KeepAlive); ok {
 			keepBlocks = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
 		}
-		hashes := blockHashes(proj, g.tpp)
-		claimBlock := func(b int) {
-			id, ok := g.index[hashes[b]]
-			if !ok {
-				check(useHost, "claim: block %d of group %s vanished", b, g.spec.Name)
-				pending = append(pending, pendingRestore{g: g, rg: rg, block: b, hash: hashes[b]})
-				return
-			}
-			pg := &g.pages[id]
-			check(pg.hashed && pg.hash == hashes[b], "claim: stale index entry")
-			switch pg.status {
-			case pageCached:
-				m.pageToUsed(g, id, r.id)
-			case pageUsed:
-				m.pageAddRef(g, id)
-			default:
-				check(false, "claim: empty page in index")
-			}
-			rg.pages[b] = pageRef{id: id, held: true}
-		}
 		for b := 0; b < keepBlocks && b < lo; b++ {
-			claimBlock(b) // always-live head (attention sinks)
+			pending = m.claimBlock(g, rg, r.id, b, h.at((b+1)*g.tpp), useHost, pending) // always-live head (attention sinks)
 		}
 		for b := lo; b < nb; b++ {
-			claimBlock(b)
+			pending = m.claimBlock(g, rg, r.id, b, h.at((b+1)*g.tpp), useHost, pending)
 		}
 		rg.projReserved = pl
 		rg.projCommitted = pl
@@ -789,6 +726,33 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 		m.host.unpin(s)
 	}
 	return ok
+}
+
+// claimBlock attaches block b (published under hash) of a claimed
+// prefix to rg, pinning its page in the used state; a block only the
+// host tier holds is queued on pending for claimPrefix's restore pass.
+//
+//jenga:hotpath
+func (m *Jenga) claimBlock(g *group, rg *reqGroup, req RequestID, b int, hash uint64, useHost bool, pending []pendingRestore) []pendingRestore {
+	id, ok := g.index[hash]
+	if !ok {
+		if !useHost {
+			check(false, "claim: block %d of group %s vanished", b, g.spec.Name)
+		}
+		return append(pending, pendingRestore{g: g, rg: rg, block: b, hash: hash})
+	}
+	pg := &g.pages[id]
+	check(pg.hashed && pg.hash == hash, "claim: stale index entry")
+	switch pg.status {
+	case pageCached:
+		m.pageToUsed(g, id, req)
+	case pageUsed:
+		m.pageAddRef(g, id)
+	default:
+		check(false, "claim: empty page in index")
+	}
+	rg.pages[b] = pageRef{id: id, held: true}
+	return pending
 }
 
 // rollbackClaim detaches everything a failed claimPrefix attached:
@@ -945,7 +909,7 @@ func (m *Jenga) Diagnose(seq *Sequence) string {
 		if g.spec.Kind == model.Mamba {
 			continue
 		}
-		v := m.buildView(g, seq.ID, seq.Tokens, m.host != nil)
+		v := m.buildView(g, m.memoFor(g, seq), m.host != nil)
 		present, runEnd := 0, 0
 		for k, ok := range v.Present {
 			if ok {

@@ -135,28 +135,13 @@ type group struct {
 	// contribution to Usage.SharedBytes.
 	extraRefs int64
 
-	// Lookup scratch, reused across calls: nothing returned from
-	// Lookup outlives the call, so reuse is safe and makes the warm
-	// lookup allocation-free. The content-derived parts (ProjCount,
-	// lkProj, lkHashes) are additionally cached across calls keyed on
-	// the sequence below — a warm lookup over a prompt already seen
-	// extends the projection and hash chain incrementally instead of
-	// rehashing the whole prefix. Present/presentRun are rebuilt in
-	// full every call (the index mutates between lookups, and
-	// LookupFleet overlays peer presence in place).
-	lkView   GroupSeqView
-	lkProj   []Token
-	lkHashes []uint64
-	// Identity of the sequence the scratch above was built from.
-	// The incremental path requires the same request ID and the same
-	// backing array with an unchanged prefix; callers only ever append
-	// to a live sequence's tokens, so (ID, base pointer, first/last
-	// token at the cached length) identifies an append-only extension.
-	lkSeqID   RequestID
-	lkSeqBase *Token
-	lkSeqLen  int
-	lkFirst   Token
-	lkLast    Token
+	// lkView is the group's Lookup view, rebuilt into the same scratch
+	// every call: nothing returned from Lookup outlives the call, so
+	// reuse is safe and makes the warm lookup allocation-free. Its
+	// ProjCount is the scope's hash memo (Jenga.memos); Present and
+	// presentRun are rebuilt in full every call (the index mutates
+	// between lookups, and LookupFleet overlays peer presence in place).
+	lkView GroupSeqView
 }
 
 func (g *group) isVision() bool { return g.spec.Kind == model.VisionEmbedding }
@@ -204,6 +189,10 @@ type Jenga struct {
 
 	// lkViews is the Lookup scratch for the per-group view list.
 	lkViews []lookupView
+	// memos holds one prefix-hash memo per token scope, indexed by
+	// model.TokenScope (all, text, image): groups that store the same
+	// tokens share one projection and one hash chain.
+	memos [3]hashMemo
 }
 
 var _ Manager = (*Jenga)(nil)

@@ -502,7 +502,7 @@ func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 	audit(t, m)
 
 	b := textSeq(2, 17)
-	v := m.buildView(g, 0, b.Tokens, false)
+	v := m.buildView(g, m.memoFor(g, b), false)
 	// Blocks 0 and 1 exited the window at the same tick; the §5.1
 	// tie-break evicts the higher position first → block 1.
 	if v.Present[1] {
@@ -514,7 +514,7 @@ func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 		t.Error("window policy should accept prefix 16 with early tokens evicted")
 	}
 	full := m.groups[m.byName["full"]]
-	fv := m.buildView(full, 0, b.Tokens, false)
+	fv := m.buildView(full, m.memoFor(full, b), false)
 	if !full.pol.ValidPrefix(fv, 16) {
 		t.Error("full group unaffected; prefix 16 should be valid")
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"jenga/internal/model"
 )
 
 // mkView builds a GroupSeqView with the given per-block presence over a
@@ -145,47 +148,62 @@ func TestRangeCachedProperties(t *testing.T) {
 func TestBlockHashChaining(t *testing.T) {
 	a := []Token{{ID: 1}, {ID: 2}, {ID: 3}, {ID: 4}}
 	b := []Token{{ID: 1}, {ID: 2}, {ID: 3}, {ID: 5}}
-	ha := blockHashes(a, 2)
-	hb := blockHashes(b, 2)
-	if ha[0] != hb[0] {
+	if PrefixHash(a, 2) != PrefixHash(b, 2) {
 		t.Error("identical first blocks must hash equal")
 	}
-	if ha[1] == hb[1] {
+	if PrefixHash(a, 4) == PrefixHash(b, 4) {
 		t.Error("different second blocks must hash differently")
 	}
 	// Image flag participates in identity.
 	c := []Token{{ID: 1, Image: true}, {ID: 2}}
-	if blockHashes(c, 2)[0] == blockHashes(a[:2], 2)[0] {
+	if PrefixHash(c, 2) == PrefixHash(a, 2) {
 		t.Error("image flag must change the hash")
 	}
 	// Chaining: same content, different parent → different hash.
 	d := []Token{{ID: 9}, {ID: 9}, {ID: 3}, {ID: 4}}
-	hd := blockHashes(d, 2)
-	if hd[1] == ha[1] {
+	if PrefixHash(d, 4) == PrefixHash(a, 4) {
 		t.Error("same block content under different prefix must differ")
 	}
-	if prefixHash(a, 4) != ha[1] {
-		t.Error("prefixHash at block boundary must equal the chained block hash")
+	if PrefixHash(a, 99) != PrefixHash(a, 4) {
+		t.Error("PrefixHash clamps at sequence length")
 	}
 }
 
+// TestProjectHelpers checks the hash memo's projection: ProjCount per
+// scope, the chain against PrefixHash over the projected tokens, and
+// the last contiguous run a claim replays from.
 func TestProjectHelpers(t *testing.T) {
-	toks := []Token{{ID: 1}, {ID: 2, Image: true}, {ID: 3}, {ID: 4, Image: true}}
-	proj, idx := project(toks, true, false)
-	if len(proj) != 2 || idx[0] != 1 || idx[1] != 3 {
-		t.Errorf("image projection wrong: %v %v", proj, idx)
+	toks := []Token{{ID: 1}, {ID: 2, Image: true}, {ID: 3, Image: true}, {ID: 4}, {ID: 5, Image: true}}
+	seq := &Sequence{ID: 1, Tokens: toks}
+	m := &Jenga{}
+	img := &group{spec: model.KVGroup{Scope: model.ScopeImage}}
+	h := m.memoFor(img, seq)
+	if want := []int{0, 0, 1, 2, 2, 3}; !slices.Equal(h.projCount, want) {
+		t.Errorf("image ProjCount = %v, want %v", h.projCount, want)
 	}
-	proj, idx = project(toks, true, true)
-	if len(proj) != 4 || idx[2] != 2 {
-		t.Errorf("identity projection wrong: %v %v", proj, idx)
+	proj := []Token{toks[1], toks[2], toks[4]}
+	for pos := 0; pos <= len(proj); pos++ {
+		if h.at(pos) != PrefixHash(proj, pos) {
+			t.Errorf("image chain at %d differs from PrefixHash", pos)
+		}
 	}
-	if projectedLen(toks, 3, false, true) != 2 {
-		t.Error("projectedLen text of first 3 should be 2")
+	// The first 4 tokens end in the image run {1,2}; the first 5 end
+	// in a run of one image token starting after projected token 2.
+	if rc, last := h.lastRun(4); last != 2 || rc != PrefixHash(proj, 0) {
+		t.Errorf("lastRun(4) = (%x, %d), want (seed, 2)", rc, last)
 	}
-	if projectedLen(toks, 99, true, true) != 4 {
-		t.Error("projectedLen clamps at sequence length")
+	if rc, last := h.lastRun(5); last != 4 || rc != PrefixHash(proj, 2) {
+		t.Errorf("lastRun(5) = (%x, %d), want (chain at 2, 4)", rc, last)
 	}
-	if blockHashes(toks, 0) != nil {
-		t.Error("non-positive block size returns nil")
+	if rc, last := h.lastRun(1); last != -1 || rc != blockHashSeed {
+		t.Errorf("lastRun(1) = (%x, %d), want (seed, -1)", rc, last)
+	}
+	txt := &group{spec: model.KVGroup{Scope: model.ScopeText}}
+	if h := m.memoFor(txt, seq); !slices.Equal(h.projCount, []int{0, 1, 1, 1, 2, 2}) {
+		t.Errorf("text ProjCount = %v", h.projCount)
+	}
+	all := &group{spec: model.KVGroup{Scope: model.ScopeAll}}
+	if h := m.memoFor(all, seq); h.at(5) != PrefixHash(toks, 5) {
+		t.Error("all-scope chain must equal PrefixHash over every token")
 	}
 }
