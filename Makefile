@@ -86,7 +86,8 @@ scale-smoke:
 
 # Timed fuzz over the core free pool, the host-tier/map-reference
 # differential, the fork/CoW lifecycle, the prefix-hash memo against
-# cold PrefixHash walks and the fleet-directory/map-reference
+# cold PrefixHash walks, eviction-heap compaction against a
+# never-compacting manager and the fleet-directory/map-reference
 # differential (the CI fuzz step): the seeded corpora
 # always run as part of `make test`; this explores beyond them.
 # `go test -fuzz` takes one target per run, so each gets its own
@@ -96,6 +97,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzHostTier -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzForkLifecycle -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzHashMemo -fuzztime 5s ./internal/core
+	$(GO) test -run NONE -fuzz FuzzEvictCompaction -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzFleetDirectory -fuzztime 5s ./internal/fleet
 
 # jengalint: the repo's own analyzers (internal/analysis) — the

@@ -6,7 +6,7 @@ package jenga_test
 // commits their ns/op and allocs/op to BENCH_core.json so the perf
 // trajectory has data points and regressions surface in review. Run
 //
-//	go test -bench='AllocSmall|ClaimRelease|ClaimColdPrefix|LookupWarm|CommitDecode|RunStep' -benchmem .
+//	go test -bench='AllocSmall|ClaimRelease|ClaimColdPrefix|EvictSpill|LookupWarm|CommitDecode|RunStep' -benchmem .
 //
 // See each fixture's doc comment for the regime it pins down.
 
@@ -37,6 +37,10 @@ func BenchmarkClaimRelease(b *testing.B) { benchOp(b, bench.ClaimRelease) }
 // BenchmarkClaimColdPrefix: a fresh-ID lookup, reserve and release of
 // a 1,072-token prompt with a cached 1,024-token prefix on Gemma-2-2B.
 func BenchmarkClaimColdPrefix(b *testing.B) { benchOp(b, bench.ClaimColdPrefix) }
+
+// BenchmarkEvictSpill: a fresh request under a full KV budget and a
+// full host tier — one large-page eviction and spill per iteration.
+func BenchmarkEvictSpill(b *testing.B) { benchOp(b, bench.EvictSpill) }
 
 // BenchmarkLookupWarm: admission-path prefix lookup over a fully
 // cached 8k-token prompt.

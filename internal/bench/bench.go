@@ -62,6 +62,7 @@ var All = []struct {
 	{"alloc_small", AllocSmall},
 	{"claim_release", ClaimRelease},
 	{"claim_cold_prefix", ClaimColdPrefix},
+	{"evict_spill", EvictSpill},
 	{"lookup_warm", LookupWarm},
 	{"commit_decode", CommitDecode},
 	{"run_step_steady_state", RunStepSteadyState},
@@ -200,9 +201,10 @@ func ClaimColdPrefix() (*Op, error) {
 	const prefix, prompt = 1024, 1072
 	var mgr *core.Jenga
 	// warm builds a manager holding only the cached prefix. Every
-	// release re-queues the prefix pages on the lazy eviction heaps,
-	// which only eviction drains, so Recycle rebuilds it before the
-	// heaps grow out of the regime measured.
+	// release re-queues the prefix's large pages on the large-page
+	// eviction heap, which is never compacted and only eviction
+	// drains, so Recycle rebuilds it before the heap grows out of the
+	// regime measured.
 	warm := func() error {
 		m, err := core.New(core.Config{
 			Spec: spec, CapacityBytes: 1 << 30,
@@ -249,6 +251,65 @@ func ClaimColdPrefix() (*Op, error) {
 		RecycleEvery: 1024,
 		Recycle:      func(int) error { return warm() },
 	}, nil
+}
+
+// EvictSpill measures the §5.4 eviction path under memory pressure
+// with a host tier: the KV budget is full of cached large pages and the
+// tier is full of spilled ones, so every iteration's fresh request —
+// one large page of unshared tokens — evicts the LRU large page (step
+// 3), spills it to the tier (which drops its own oldest page to make
+// room), then commits and releases its blocks as the newest cache. The
+// "pad" group stores only image tokens, so the all-text workload
+// leaves it empty while its 4× larger pages set the LCM geometry to
+// four "kv" blocks per large page.
+func EvictSpill() (*Op, error) {
+	spec := &model.Spec{
+		Name: "bench-evict", Params: 1_000_000, WeightBytes: 2, HiddenSize: 64,
+		Groups: []model.KVGroup{
+			{Name: "kv", Kind: model.FullAttention, Layers: 2, BytesPerToken: 128, Scope: model.ScopeText},
+			{Name: "pad", Kind: model.FullAttention, Layers: 2, BytesPerToken: 512, Scope: model.ScopeImage},
+		},
+	}
+	const largePages, hostPages, tokens = 64, 16, 64 // 64 tokens = four 16-token blocks
+	const largeBytes = 16 * 2 * 512
+	mgr, err := core.New(core.Config{
+		Spec: spec, CapacityBytes: largePages * largeBytes, TokensPerPage: 16,
+		EnablePrefixCache: true, RequestAware: true,
+		HostTierBytes: hostPages * largeBytes,
+	})
+	if err != nil {
+		return nil, err
+	}
+	seq := &core.Sequence{PromptLen: tokens, Tokens: make([]core.Token, tokens)}
+	run := func(i int) error {
+		seq.ID = core.RequestID(i + 1)
+		for k := range seq.Tokens {
+			seq.Tokens[k].ID = int32((i*tokens+k)%(1<<30) + 1)
+		}
+		if err := mgr.Reserve(seq, tokens, core.Tick(i+1)); err != nil {
+			return err
+		}
+		mgr.Commit(seq, tokens, core.Tick(i+1))
+		mgr.Release(seq, true)
+		return nil
+	}
+	// Fill the KV budget with cache and the tier with spills, then
+	// check one iteration is the regime named above.
+	const warm = 4 * (largePages + hostPages)
+	for i := 0; i < warm; i++ {
+		if err := run(i); err != nil {
+			return nil, err
+		}
+	}
+	st, ts := mgr.Stats(), mgr.TierStats()
+	if err := run(warm); err != nil {
+		return nil, err
+	}
+	st2, ts2 := mgr.Stats(), mgr.TierStats()
+	if st2.LargeEvictions != st.LargeEvictions+1 || ts2.SwapOuts != ts.SwapOuts+1 || ts2.HostEvictions != ts.HostEvictions+1 {
+		return nil, fmt.Errorf("bench: evict_spill iteration is not one large eviction, spill and tier eviction")
+	}
+	return &Op{Run: func(i int) error { return run(warm + 1 + i) }}, nil
 }
 
 // LookupWarm measures the admission-path prefix lookup over a long

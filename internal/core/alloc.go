@@ -1,10 +1,6 @@
 package core
 
-import (
-	"container/heap"
-
-	"jenga/internal/arena"
-)
+import "jenga/internal/arena"
 
 // Eviction heaps. Entries are immutable snapshots validated lazily on
 // pop: a page (or large page) whose state or timestamp moved on since
@@ -18,27 +14,60 @@ type pageEntry struct {
 	expired bool
 }
 
-// pageHeap orders evictable pages expired-first (§3.3: out-of-window
-// KV is evicted before any live page), then by (lastAccess asc,
-// priority desc, id asc) — LRU with the §5.1 prefix-length tie break.
-type pageHeap []pageEntry
-
-func (h pageHeap) Len() int { return len(h) }
-func (h pageHeap) Less(i, j int) bool {
-	if h[i].expired != h[j].expired {
-		return h[i].expired
+// before orders evictable pages expired-first (§3.3: out-of-window KV
+// is evicted before any live page), then by (lastAccess asc, priority
+// desc, id asc) — LRU with the §5.1 prefix-length tie break.
+func (a pageEntry) before(b pageEntry) bool {
+	if a.expired != b.expired {
+		return a.expired
 	}
-	if h[i].ts != h[j].ts {
-		return h[i].ts < h[j].ts
+	if a.ts != b.ts {
+		return a.ts < b.ts
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
+	if a.prio != b.prio {
+		return a.prio > b.prio
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h pageHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pageHeap) Push(x any)   { *h = append(*h, x.(pageEntry)) }
-func (h *pageHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// live reports whether e is the current key of a cached page.
+func (g *group) live(e pageEntry) bool {
+	pg := &g.pages[e.id]
+	return pg.status == pageCached && pg.lastAccess == e.ts && pg.priority == e.prio && pg.expired == e.expired
+}
+
+// pushPage queues a cached page's current key on the group's evictor,
+// compacting the heap once stale entries could dominate it.
+//
+//jenga:hotpath
+func (g *group) pushPage(pg *page, id arena.SmallPageID) {
+	g.evict.push(pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: pg.expired})
+	if g.evict.due() {
+		g.compactEvict()
+	}
+}
+
+// compactEvict drops g.evict's stale entries and all but one copy of
+// each live one. This is exact: every move of a page into the cached
+// state (pageRelease) and every re-key of a cached page (claimMamba)
+// pushes the page's full current key, so a stale entry turns valid
+// again only when an identical one is pushed, and identical entries
+// evict the same page at the same point of the order.
+func (g *group) compactEvict() {
+	s := g.evict.s
+	n := 0
+	for _, e := range s {
+		if pg := &g.pages[e.id]; g.live(e) && !pg.queued {
+			pg.queued = true
+			s[n] = e
+			n++
+		}
+	}
+	for _, e := range s[:n] {
+		g.pages[e.id].queued = false
+	}
+	g.evict.keep(n)
+}
 
 type largeEntry struct {
 	id      arena.LargePageID
@@ -46,23 +75,23 @@ type largeEntry struct {
 	expired bool
 }
 
-// largeHeap orders evictable large pages expired-first, then by the
+// before orders evictable large pages expired-first, then by the
 // latest last-access time among their small pages (§5.4 step 3).
-type largeHeap []largeEntry
-
-func (h largeHeap) Len() int { return len(h) }
-func (h largeHeap) Less(i, j int) bool {
-	if h[i].expired != h[j].expired {
-		return h[i].expired
+//
+// The large-page heap is never compacted: its stale tickets decide
+// when a large page is examined again (evictLargeLRU re-pushes a
+// stale ticket with the fresh key), and a page made evictable without
+// a fresh ticket — a non-caching release of its last used page — is
+// reached only through such a stale one.
+func (a largeEntry) before(b largeEntry) bool {
+	if a.expired != b.expired {
+		return a.expired
 	}
-	if h[i].ts != h[j].ts {
-		return h[i].ts < h[j].ts
+	if a.ts != b.ts {
+		return a.ts < b.ts
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h largeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *largeHeap) Push(x any)   { *h = append(*h, x.(largeEntry)) }
-func (h *largeHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // --- page state transitions -------------------------------------------
 
@@ -179,7 +208,7 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 		pg.expired = expired
 		g.nCached++
 		m.cacheAdd(L, exitTS, expired)
-		heap.Push(&g.evict, pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: expired})
+		g.pushPage(pg, id)
 		if m.cntUsed[L] == 0 {
 			m.pushLargeCandidate(L)
 		}
@@ -247,7 +276,7 @@ func (m *Jenga) pushLargeCandidate(L arena.LargePageID) {
 	if !ok {
 		return
 	}
-	heap.Push(&m.largeEvict, largeEntry{id: L, ts: ts, expired: expired})
+	m.largeEvict.push(largeEntry{id: L, ts: ts, expired: expired})
 }
 
 // largeTimestamp returns the eviction key of a large page: the latest
@@ -410,14 +439,14 @@ func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool
 // evictLargeLRU evicts the least-recently-used evictable large page,
 // returning it to the LCM free list. Reports whether one was evicted.
 func (m *Jenga) evictLargeLRU() bool {
-	for m.largeEvict.Len() > 0 {
-		e := heap.Pop(&m.largeEvict).(largeEntry)
+	for m.largeEvict.len() > 0 {
+		e := m.largeEvict.pop()
 		ts, expired, ok := m.largeTimestamp(e.id)
 		if !ok {
 			continue // stale: no longer evictable
 		}
 		if ts != e.ts || expired != e.expired {
-			heap.Push(&m.largeEvict, largeEntry{id: e.id, ts: ts, expired: expired})
+			m.largeEvict.push(largeEntry{id: e.id, ts: ts, expired: expired})
 			continue // stale key: retry with fresh position
 		}
 		og := m.groups[m.largeOwner[e.id]]
@@ -444,10 +473,9 @@ func (m *Jenga) evictLargeLRU() bool {
 // evictOneSmall evicts the least-recently-used cached page of g,
 // reporting whether any eviction happened.
 func (m *Jenga) evictOneSmall(g *group) bool {
-	for g.evict.Len() > 0 {
-		e := heap.Pop(&g.evict).(pageEntry)
-		pg := &g.pages[e.id]
-		if pg.status != pageCached || pg.lastAccess != e.ts || pg.priority != e.prio || pg.expired != e.expired {
+	for g.evict.len() > 0 {
+		e := g.evict.pop()
+		if !g.live(e) {
 			continue // stale
 		}
 		m.evictCached(g, e.id)

@@ -19,7 +19,9 @@ import "jenga/internal/model"
 // when a block's live copy leaves it (budget eviction only — a
 // re-spill that repoints a hash keeps it resident and emits no
 // eviction). Callbacks run synchronously inside allocator operations
-// and must not call back into the manager.
+// and must not call back into the manager. The hashes slice is tier
+// scratch, valid only during the call: an observer copies what it
+// keeps.
 type TierObserver interface {
 	TierStored(group string, hashes []uint64)
 	TierEvicted(group string, hashes []uint64)
@@ -134,18 +136,20 @@ func (m *Jenga) ImportPrefix(ps PageSet, now Tick) (int, int64) {
 		if len(pb) == 0 {
 			continue
 		}
-		hashes := make([]uint64, len(pb))
+		hashes := m.tierHashes[:0]
 		for i := range pb {
-			hashes[i] = pb[i].Hash
+			hashes = append(hashes, pb[i].Hash)
 		}
+		m.tierHashes = hashes
 		if m.host.resident(ps.Group, hashes) {
 			m.host.touchPage(ps.Group, hashes[0], now)
 			continue
 		}
-		blocks := make([]hostBlock, len(pb))
+		blocks := m.tierBlocks[:0]
 		for i := range pb {
-			blocks[i] = hostBlock{hash: pb[i].Hash, priority: pb[i].Priority, filled: pb[i].Filled, data: pb[i].Data}
+			blocks = append(blocks, hostBlock{hash: pb[i].Hash, priority: pb[i].Priority, filled: pb[i].Filled, data: pb[i].Data})
 		}
+		m.tierBlocks = blocks
 		if !m.host.store(ps.Group, blocks, now) {
 			break
 		}

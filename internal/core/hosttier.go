@@ -1,10 +1,6 @@
 package core
 
-import (
-	"container/heap"
-
-	"jenga/internal/arena"
-)
+import "jenga/internal/arena"
 
 // Host-memory KV tier (§8 direction: CachedAttention, Mooncake). The
 // tier stores spilled large pages — the LCM granularity, uniform
@@ -106,9 +102,17 @@ type hostTier struct {
 	// evict orders pages by (touch, seq) for O(log n) tier eviction.
 	// Entries are immutable snapshots validated lazily on pop (the
 	// same pattern as the allocator's page heaps): a touch refresh
-	// pushes a new entry and the stale one is skipped later.
-	evict hostEvictHeap
-	stats TierStats
+	// pushes a new entry and the stale one is skipped later or dropped
+	// by compactEvict.
+	evict minHeap[hostEvictEntry]
+	// spare holds dropped pages for store to reuse, each with an
+	// empty blocks slice that keeps its capacity and no block data.
+	spare []*hostPage
+	// hashes and stash are per-call scratch: the observer's hash list
+	// (valid only during the callback) and evictOne's pinned entries.
+	hashes []uint64
+	stash  []hostEvictEntry
+	stats  TierStats
 	// obs, when set, is notified of every content change: block hashes
 	// entering the tier (store) and leaving it (dropPage). The fleet
 	// directory registers and invalidates through these callbacks; nil
@@ -122,25 +126,43 @@ type hostEvictEntry struct {
 	seq   int64
 }
 
-// hostEvictHeap is a min-heap on (touch, seq) — the seq tiebreak
-// makes the order total, so tier eviction is deterministic.
-type hostEvictHeap []hostEvictEntry
-
-func (h hostEvictHeap) Len() int { return len(h) }
-func (h hostEvictHeap) Less(i, j int) bool {
-	if h[i].touch != h[j].touch {
-		return h[i].touch < h[j].touch
+// before orders by (touch, seq) — the seq tiebreak makes the order
+// total, so tier eviction is deterministic.
+func (a hostEvictEntry) before(b hostEvictEntry) bool {
+	if a.touch != b.touch {
+		return a.touch < b.touch
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h hostEvictHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *hostEvictHeap) Push(x any)   { *h = append(*h, x.(hostEvictEntry)) }
-func (h *hostEvictHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// live reports whether e is the current key of a live page.
+func (h *hostTier) live(e hostEvictEntry) bool {
+	pg, ok := h.pages[e.seq]
+	return ok && pg.touch == e.touch
+}
+
+// pushEvict queues a page's current key, dropping the stale entries
+// once they could dominate the heap.
+func (h *hostTier) pushEvict(e hostEvictEntry) {
+	h.evict.push(e)
+	if h.evict.due() {
+		h.compactEvict()
+	}
+}
+
+// compactEvict drops h.evict's stale entries. Every push carries a
+// fresh (touch, seq) — seq is never reused and touch only grows — so
+// no entry is duplicated and none turns valid again once stale.
+func (h *hostTier) compactEvict() {
+	s := h.evict.s
+	n := 0
+	for _, e := range s {
+		if h.live(e) {
+			s[n] = e
+			n++
+		}
+	}
+	h.evict.keep(n)
 }
 
 // newHostTier builds a tier with the given byte budget. A budget
@@ -160,24 +182,26 @@ func newHostTier(capacity int64, pageBytes int) *hostTier {
 // hasRoomEver reports whether the budget admits even one page.
 func (h *hostTier) hasRoomEver() bool { return h.capacity >= h.pageBytes }
 
-// lookup reports whether the tier holds a live copy of (group, hash).
-func (h *hostTier) lookup(group string, hash uint64) (*hostBlock, bool) {
+// lookup returns the tier's live copy of (group, hash). It returns a
+// value, not a pointer: dropped pages are recycled, so a pointer into
+// one would not stay valid.
+func (h *hostTier) lookup(group string, hash uint64) (hostBlock, bool) {
 	gi, ok := h.index[group]
 	if !ok {
-		return nil, false
+		return hostBlock{}, false
 	}
 	seq, ok := gi[hash]
 	if !ok {
-		return nil, false
+		return hostBlock{}, false
 	}
 	pg := h.pages[seq]
 	for i := range pg.blocks {
 		if pg.blocks[i].hash == hash {
-			return &pg.blocks[i], true
+			return pg.blocks[i], true
 		}
 	}
 	check(false, "host tier: index entry %x without block", hash)
-	return nil, false
+	return hostBlock{}, false
 }
 
 // groupSize returns the number of live indexed blocks for a group.
@@ -231,7 +255,8 @@ func (h *hostTier) spill(group string, blocks []hostBlock, now Tick) bool {
 // store is the common page-admission path behind the D2H spill and the
 // fleet import: budget eviction, indexing, recency, observer
 // registration — everything except the transfer-direction accounting,
-// which the two callers charge differently.
+// which the two callers charge differently. The blocks are copied into
+// a recycled page when one is spare, so callers may pass scratch.
 func (h *hostTier) store(group string, blocks []hostBlock, now Tick) bool {
 	if !h.hasRoomEver() || len(blocks) == 0 {
 		return false
@@ -243,9 +268,16 @@ func (h *hostTier) store(group string, blocks []hostBlock, now Tick) bool {
 	}
 	seq := h.nextSeq
 	h.nextSeq++
-	pg := &hostPage{group: group, seq: seq, touch: now, blocks: blocks, bytes: h.pageBytes}
+	var pg *hostPage
+	if n := len(h.spare); n > 0 {
+		pg = h.spare[n-1]
+		h.spare = h.spare[:n-1]
+	} else {
+		pg = &hostPage{}
+	}
+	*pg = hostPage{group: group, seq: seq, touch: now, blocks: append(pg.blocks, blocks...), bytes: h.pageBytes}
 	h.pages[seq] = pg
-	heap.Push(&h.evict, hostEvictEntry{touch: now, seq: seq})
+	h.pushEvict(hostEvictEntry{touch: now, seq: seq})
 	gi := h.index[group]
 	if gi == nil {
 		gi = make(map[uint64]int64)
@@ -257,11 +289,11 @@ func (h *hostTier) store(group string, blocks []hostBlock, now Tick) bool {
 	h.used += pg.bytes
 	h.stats.HostUsed = h.used
 	if h.obs != nil {
-		hashes := make([]uint64, len(blocks))
+		h.hashes = h.hashes[:0]
 		for i := range blocks {
-			hashes[i] = blocks[i].hash
+			h.hashes = append(h.hashes, blocks[i].hash)
 		}
-		h.obs.TierStored(group, hashes)
+		h.obs.TierStored(group, h.hashes)
 	}
 	return true
 }
@@ -290,7 +322,7 @@ func (h *hostTier) touchPage(group string, hash uint64, now Tick) {
 		if seq, ok := gi[hash]; ok {
 			if pg := h.pages[seq]; pg.touch < now {
 				pg.touch = now
-				heap.Push(&h.evict, hostEvictEntry{touch: now, seq: seq})
+				h.pushEvict(hostEvictEntry{touch: now, seq: seq})
 			}
 		}
 	}
@@ -302,25 +334,24 @@ func (h *hostTier) touchPage(group string, hash uint64, now Tick) {
 // candidates are stashed and re-queued so a pin never loses a page
 // its position in the order.
 func (h *hostTier) evictOne() bool {
-	var stash []hostEvictEntry
+	h.stash = h.stash[:0]
 	dropped := false
-	for h.evict.Len() > 0 {
-		e := heap.Pop(&h.evict).(hostEvictEntry)
-		pg, live := h.pages[e.seq]
-		if !live || pg.touch != e.touch {
+	for h.evict.len() > 0 {
+		e := h.evict.pop()
+		if !h.live(e) {
 			continue // stale: page gone or touched since
 		}
 		if _, p := h.pinned[e.seq]; p {
-			stash = append(stash, e)
+			h.stash = append(h.stash, e)
 			continue
 		}
-		h.dropPage(pg)
+		h.dropPage(h.pages[e.seq])
 		h.stats.HostEvictions++
 		dropped = true
 		break
 	}
-	for _, s := range stash {
-		heap.Push(&h.evict, s)
+	for _, s := range h.stash {
+		h.evict.push(s)
 	}
 	return dropped
 }
@@ -328,24 +359,26 @@ func (h *hostTier) evictOne() bool {
 // dropPage removes a page, deleting only the index entries that
 // still point at it (a later re-spill may have repointed some). The
 // observer hears exactly the hashes whose live copy died — repointed
-// hashes are still resident and stay registered.
+// hashes are still resident and stay registered. The page and its
+// blocks array go to the spare list, emptied of block data.
 func (h *hostTier) dropPage(pg *hostPage) {
 	gi := h.index[pg.group]
-	var gone []uint64
+	h.hashes = h.hashes[:0]
 	for i := range pg.blocks {
 		if seq, ok := gi[pg.blocks[i].hash]; ok && seq == pg.seq {
 			delete(gi, pg.blocks[i].hash)
-			if h.obs != nil {
-				gone = append(gone, pg.blocks[i].hash)
-			}
+			h.hashes = append(h.hashes, pg.blocks[i].hash)
 		}
 	}
 	delete(h.pages, pg.seq)
 	h.used -= pg.bytes
 	h.stats.HostUsed = h.used
-	if h.obs != nil && len(gone) > 0 {
-		h.obs.TierEvicted(pg.group, gone)
+	if h.obs != nil && len(h.hashes) > 0 {
+		h.obs.TierEvicted(pg.group, h.hashes)
 	}
+	clear(pg.blocks)
+	*pg = hostPage{blocks: pg.blocks[:0]}
+	h.spare = append(h.spare, pg)
 }
 
 // --- Jenga integration ---------------------------------------------------
@@ -498,8 +531,7 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	}
 	g := m.groups[m.largeOwner[L]]
 	first, n := g.view.SmallRange(L)
-	blocks := make([]hostBlock, 0, m.cntCached[L])
-	hashes := make([]uint64, 0, m.cntCached[L])
+	blocks, hashes := m.tierBlocks[:0], m.tierHashes[:0]
 	for i := 0; i < n; i++ {
 		id := first + arena.SmallPageID(i)
 		pg := &g.pages[id]
@@ -519,6 +551,7 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 		blocks = append(blocks, hb)
 		hashes = append(hashes, pg.hash)
 	}
+	m.tierBlocks, m.tierHashes = blocks, hashes
 	if len(blocks) == 0 {
 		return false
 	}

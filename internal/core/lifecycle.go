@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 
 	"jenga/internal/arena"
@@ -706,8 +705,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 	for _, pr := range pending {
 		hb, found := m.host.lookup(pr.g.spec.Name, pr.hash)
 		check(found, "claim: pinned host block vanished mid-claim")
-		blk := *hb
-		id, allocOK := m.restoreBlock(pr.g, blk, pr.hash, r.id, now)
+		id, allocOK := m.restoreBlock(pr.g, hb, pr.hash, r.id, now)
 		if !allocOK {
 			ok = false
 			break
@@ -787,7 +785,7 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, pl int, now Tick) {
 	check(ok, "claimMamba: checkpoint at %d vanished", pl)
 	pg := &g.pages[id]
 	// Touch the checkpoint (the paper updates only the last cached
-	// state's access time) and re-queue it with the fresh timestamp.
+	// state's access time) and re-queue it under its full current key.
 	if pg.status == pageCached {
 		// Re-keying a cached page re-keys its large page: losing the
 		// old value may lower the max (a warm engine restart resets
@@ -801,7 +799,10 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, pl int, now Tick) {
 		if now > m.largeTS[L] {
 			m.largeTS[L] = now
 		}
-		heap.Push(&g.evict, pageEntry{id: id, ts: now, prio: pg.priority})
+		if pg.expired {
+			check(false, "claimMamba: checkpoint page %d expired", id)
+		}
+		g.pushPage(pg, id)
 	} else {
 		pg.lastAccess = now
 	}

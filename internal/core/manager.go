@@ -96,6 +96,9 @@ type page struct {
 	// prioritized for eviction over any in-window page, regardless of
 	// recency.
 	expired bool
+	// queued marks a page already kept by the compaction in progress
+	// (compactEvict); false at all other times.
+	queued bool
 }
 
 // group is the per-layer-type allocator + evictor state.
@@ -121,8 +124,9 @@ type group struct {
 	// maintained): a hierarchical bitmap whose pop is O(1) and always
 	// yields the lowest free ID (deterministic §5.4 steps 1/4).
 	free freePool
-	// evict orders cached pages by (lastAccess, -priority).
-	evict pageHeap
+	// evict orders cached pages by (lastAccess, -priority); compacted
+	// when stale entries could dominate it (pushPage).
+	evict minHeap[pageEntry]
 
 	// counters for Usage (pages in the "used" state only for slots).
 	ownedLarge  int
@@ -171,7 +175,7 @@ type Jenga struct {
 	largeDirty []bool
 
 	freeLarge  []arena.LargePageID
-	largeEvict largeHeap
+	largeEvict minHeap[largeEntry]
 
 	reqs  map[RequestID]*reqState
 	stats Stats
@@ -186,6 +190,10 @@ type Jenga struct {
 	// privatizations accumulated since the last DrainCopyBytes — the
 	// engine charges it to the step's HBM copy term.
 	pendingCopy int64
+	// tierBlocks and tierHashes are scratch for the page a spill or a
+	// peer import hands the host tier (store copies what it keeps).
+	tierBlocks []hostBlock
+	tierHashes []uint64
 
 	// lkViews is the Lookup scratch for the per-group view list.
 	lkViews []lookupView

@@ -193,6 +193,7 @@ func audit(t *testing.T, m *Jenga) {
 			}
 		}
 	}
+	auditHeaps(t, m)
 	u := m.Usage()
 	total := u.Used + u.Cached + u.Wasted + u.Free
 	if total != m.Capacity() {
@@ -201,6 +202,61 @@ func audit(t *testing.T, m *Jenga) {
 	}
 	if u.Used < 0 || u.Cached < 0 || u.Wasted < 0 || u.Free < 0 {
 		t.Fatalf("negative usage component: %+v", u)
+	}
+}
+
+// auditHeaps checks the invariants heap compaction relies on: every
+// cached page has an eviction entry equal to its current key, every
+// live tier page has one equal to its (touch, seq), and spare host
+// pages hold no block data.
+func auditHeaps(t *testing.T, m *Jenga) {
+	t.Helper()
+	for _, g := range m.groups {
+		keys := make(map[pageEntry]bool, g.evict.len())
+		for _, e := range g.evict.s {
+			keys[e] = true
+		}
+		for p := range g.pages {
+			pg := &g.pages[p]
+			if pg.queued {
+				t.Fatalf("group %s: page %d still marked by a compaction", g.spec.Name, p)
+			}
+			if pg.status != pageCached {
+				continue
+			}
+			e := pageEntry{id: arena.SmallPageID(p), ts: pg.lastAccess, prio: pg.priority, expired: pg.expired}
+			if !keys[e] {
+				t.Fatalf("group %s: cached page %d has no eviction entry %+v", g.spec.Name, p, e)
+			}
+		}
+	}
+	h := m.host
+	if h == nil {
+		return
+	}
+	keys := make(map[hostEvictEntry]bool, h.evict.len())
+	for _, e := range h.evict.s {
+		keys[e] = true
+	}
+	for seq, pg := range h.pages {
+		if !keys[hostEvictEntry{touch: pg.touch, seq: seq}] {
+			t.Fatalf("host page %d: no eviction entry for touch %d", seq, pg.touch)
+		}
+	}
+	for _, pg := range h.spare {
+		if pg.seq != 0 || pg.touch != 0 || pg.bytes != 0 || pg.group != "" || len(pg.blocks) != 0 {
+			t.Fatalf("spare host page not reset: %+v", *pg)
+		}
+		for _, b := range pg.blocks[:cap(pg.blocks)] {
+			if b.hash != 0 || b.priority != 0 || b.filled != 0 || b.data != nil {
+				t.Fatalf("spare host page holds block data")
+			}
+		}
+		for _, live := range h.pages {
+			if live == pg {
+				t.Fatalf("host page %d is both live and spare", live.seq)
+			}
+		}
 	}
 }
 

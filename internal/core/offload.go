@@ -1,11 +1,6 @@
 package core
 
-import (
-	"container/heap"
-	"sort"
-
-	"jenga/internal/arena"
-)
+import "jenga/internal/arena"
 
 // Offload advice (§8): systems that spill KV to host memory or disk
 // (CachedAttention, Mooncake) need a fixed-size transfer granularity
@@ -43,17 +38,14 @@ func hintLess(a, b OffloadHint) bool {
 	return a.LargePage < b.LargePage
 }
 
-// hintHeap is a bounded max-heap on hintLess: the top is the *worst*
-// kept hint, so top-k selection evicts it when a better candidate
-// appears. This keeps a bounded OffloadOrder at O(L log max) instead
-// of sorting every evictable page for any max.
-type hintHeap []OffloadHint
+// worstHint inverts hintLess, so a minHeap of it is a bounded
+// max-heap: the top is the *worst* kept hint, and top-k selection
+// replaces it when a better candidate appears. This keeps a bounded
+// OffloadOrder at O(L log max) instead of sorting every evictable page
+// for any max.
+type worstHint OffloadHint
 
-func (h hintHeap) Len() int           { return len(h) }
-func (h hintHeap) Less(i, j int) bool { return hintLess(h[j], h[i]) }
-func (h hintHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hintHeap) Push(x any)        { *h = append(*h, x.(OffloadHint)) }
-func (h *hintHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (a worstHint) before(b worstHint) bool { return hintLess(OffloadHint(b), OffloadHint(a)) }
 
 // OffloadOrder returns up to max evictable large pages in the order the
 // evictor would discard them — expired pages first, then LRU. An
@@ -72,7 +64,7 @@ func (m *Jenga) OffloadOrder(max int) []OffloadHint {
 	if max <= 0 || max > m.ar.NumLargePages() {
 		max = m.ar.NumLargePages()
 	}
-	var top hintHeap
+	var top minHeap[worstHint]
 	for L := 0; L < m.ar.NumLargePages(); L++ {
 		// largeTimestamp is the commit-pin gate: it rejects pages with
 		// used (reservation-held) small pages and pages with nothing
@@ -87,15 +79,17 @@ func (m *Jenga) OffloadOrder(max int) []OffloadHint {
 			LastAccess: ts,
 			Expired:    expired,
 		}
-		if len(top) < max {
-			heap.Push(&top, h)
-		} else if hintLess(h, top[0]) {
-			top[0] = h
-			heap.Fix(&top, 0)
+		if top.len() < max {
+			top.push(worstHint(h))
+		} else if hintLess(h, OffloadHint(top.s[0])) {
+			top.replaceTop(worstHint(h))
 		}
 	}
-	hints := []OffloadHint(top)
-	sort.Slice(hints, func(i, j int) bool { return hintLess(hints[i], hints[j]) })
+	// Popping worst-first fills the result back to front.
+	hints := make([]OffloadHint, top.len())
+	for i := len(hints) - 1; i >= 0; i-- {
+		hints[i] = OffloadHint(top.pop())
+	}
 	return hints
 }
 
