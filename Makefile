@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint staticcheck fmt vet perfbench-test ci
+.PHONY: build test race bench bench-json bench-serving bench-check bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint staticcheck fmt vet perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -37,7 +37,12 @@ bench:
 # the committed file is preserved across runs). The -stream, -fanout
 # and fleet runs each rewrite their own section of BENCH_serving.json
 # and preserve the others'.
-bench-json:
+bench-json: bench-serving
+	$(GO) run ./cmd/jengabench -bench-core -bench-json BENCH_core.json
+
+# The four BENCH_serving.json generators (streaming, fanout, fleet and
+# faults sections).
+bench-serving:
 	$(GO) run ./cmd/jengabench -stream -replicas 4 -requests 480 -rate 600 \
 		-slo-ttft 250ms -deadline 2s -admission kv+slo -sched all \
 		-preempt all -host-gb 2 -kv-gb 0.25 \
@@ -51,7 +56,13 @@ bench-json:
 		-rate 70 -prefix-len 1024 -slo-ttft 500ms -deadline 6s \
 		-host-gb 2 -kv-gb 0.25 \
 		-bench-json BENCH_serving.json
-	$(GO) run ./cmd/jengabench -bench-core -bench-json BENCH_core.json
+
+# Scorecard gate (part of `make ci`): every BENCH_serving.json row the
+# generators above write is simulated and deterministic, so rerunning
+# them must reproduce the committed file byte for byte. A diff means a
+# change moved the serving, fanout, fleet or faults scorecard.
+bench-check: bench-serving
+	git diff --exit-code BENCH_serving.json
 
 # Full-size scale benchmark: one million streamed requests on a
 # 16-replica fleet through ServeStream, swept across shard counts,
@@ -132,5 +143,5 @@ vet:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
-ci: vet lint build test race chaos-smoke scale-smoke perfbench-test
+ci: vet lint build test race chaos-smoke scale-smoke bench-check perfbench-test
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

@@ -447,11 +447,13 @@ func RunStepSteadyState() (*Op, error) {
 	}, nil
 }
 
-// ServeOnlineArrival measures ServeOnline's per-arrival router-loop
-// body — snapshot every replica, route against the live loads, submit
-// to the chosen engine — the serial cost the streamed serving path
-// amortizes into epochs. Recycle resets the fleet so the pending-queue
-// insert never drifts out of the near-empty regime routing runs in.
+// ServeOnlineArrival measures the router's work at one ServeOnline
+// barrier — snapshot every replica, route against the live loads,
+// submit to the chosen engine — the per-arrival cost ServeStream
+// amortizes into epochs. The serve loop's barrier channel round trip
+// and the replicas' advance to the arrival are not included. Recycle
+// resets the fleet so the pending-queue insert never drifts out of the
+// near-empty regime routing runs in.
 func ServeOnlineArrival() (*Op, error) {
 	spec := textSpec("bench-arrival")
 	const replicas = 8

@@ -204,8 +204,8 @@ func (p *Plan) Fingerprint() uint64 {
 // transfer-failure stream. Window events need no cursor — they are
 // pure functions of the clock (Plan.Window).
 //
-// A Cursor is not safe for concurrent use; the cluster only consults
-// it from its serial arrival loop.
+// A Cursor is not safe for concurrent use; the cluster consults it
+// only from its router goroutine, at barriers.
 type Cursor struct {
 	plan *Plan
 	next int    // index into plan.Events of the next candidate

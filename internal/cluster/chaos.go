@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"jenga/internal/chaos"
@@ -15,9 +14,10 @@ import (
 // existed.
 //
 // Degrade and straggler windows slow the affected replica's simulated
-// steps in both serving paths; crash/restart point events and transfer
-// faults apply during ServeOnline, where there is an arrival loop to
-// order them against.
+// steps; crash/restart point events and transfer faults apply at
+// barriers of the serve loop, which a config with a plan takes at
+// every arrival and at every crash or restart instant (Serve,
+// ServeOnline and ServeStream alike).
 type ChaosPolicy struct {
 	// Plan is the seeded fault schedule. Nil: no faults.
 	Plan *chaos.Plan
@@ -93,7 +93,7 @@ func (f *replicaFaults) StepFault(clock time.Duration) engine.StepFault {
 }
 
 // chaosStats accumulates what the fault machinery did during one
-// ServeOnline pass.
+// serve pass.
 type chaosStats struct {
 	crashes, restarts int
 	redispatched      int
@@ -102,12 +102,14 @@ type chaosStats struct {
 	rollbacks         int
 }
 
-// onlineState is the per-pass fleet state ServeOnline threads through
-// the routing and fleet helpers: which replicas are drained for
-// scale-down, each replica's chaos health, and the live fault cursor.
-type onlineState struct {
-	drained []bool
-	health  []Health
+// passState is the per-pass fleet state the serve loop threads
+// through the routing and fleet helpers: which replicas are drained
+// for scale-down (drainFired latches the one-shot scale-down), each
+// replica's chaos health, and the live fault cursor.
+type passState struct {
+	drained    []bool
+	drainFired bool
+	health     []Health
 	// cur walks the chaos plan's point events and failure streams (nil
 	// without a plan — every fault check short-circuits off).
 	cur     *chaos.Cursor
@@ -115,8 +117,8 @@ type onlineState struct {
 	stats   chaosStats
 }
 
-func newOnlineState(n int, pol ChaosPolicy) *onlineState {
-	st := &onlineState{
+func newPassState(n int, pol ChaosPolicy) *passState {
+	st := &passState{
 		drained: make([]bool, n),
 		health:  make([]Health, n),
 		recover: pol.Recover,
@@ -128,9 +130,11 @@ func newOnlineState(n int, pol ChaosPolicy) *onlineState {
 }
 
 // applyChaos applies every pending point event with At ≤ upTo, in
-// order: all replicas advance to the event instant first, so a crash
-// takes exactly the progress made before it and nothing after.
-func (c *Cluster) applyChaos(st *onlineState, upTo time.Duration) error {
+// order, each at a barrier at its own instant: every replica has
+// advanced to the event first, so a crash takes exactly the progress
+// made before it and nothing after.
+func (d *driver) applyChaos(upTo time.Duration) error {
+	st := d.st
 	if st.cur == nil {
 		return nil
 	}
@@ -139,16 +143,14 @@ func (c *Cluster) applyChaos(st *onlineState, upTo time.Duration) error {
 		if !ok || ev.At > upTo {
 			return nil
 		}
-		for j, e := range c.engines {
-			if err := e.AdvanceTo(ev.At); err != nil {
-				return fmt.Errorf("cluster: replica %d: %w", j, err)
-			}
+		if err := d.barrier(ev.At); err != nil {
+			return err
 		}
 		switch ev.Kind {
 		case chaos.KindCrash:
-			c.crashReplica(st, ev.Replica)
+			d.c.crashReplica(st, ev.Replica)
 		case chaos.KindRestart:
-			c.restartReplica(st, ev.Replica)
+			d.c.restartReplica(st, ev.Replica)
 		}
 		st.cur.Pop()
 	}
@@ -160,7 +162,7 @@ func (c *Cluster) applyChaos(st *onlineState, upTo time.Duration) error {
 // drops the dead holder's entries and the lost requests re-dispatch to
 // the coolest survivors, recomputing from their prompts. Without it
 // the requests die with the replica.
-func (c *Cluster) crashReplica(st *onlineState, rep int) {
+func (c *Cluster) crashReplica(st *passState, rep int) {
 	if rep < 0 || rep >= len(c.engines) || st.health[rep] == Dead {
 		return
 	}
@@ -193,7 +195,7 @@ func (c *Cluster) crashReplica(st *onlineState, rep int) {
 // restartReplica brings a crashed replica back with a cold tier. Its
 // manager was already reset at crash time; new content re-registers in
 // the directory through the still-attached observer as it is spilled.
-func (c *Cluster) restartReplica(st *onlineState, rep int) {
+func (c *Cluster) restartReplica(st *passState, rep int) {
 	if rep < 0 || rep >= len(c.engines) || st.health[rep] != Dead {
 		return
 	}
@@ -204,7 +206,7 @@ func (c *Cluster) restartReplica(st *onlineState, rep int) {
 // refreshHealth re-derives each live replica's Sick/Healthy state from
 // the plan's windows at the given instant (Dead is sticky until a
 // restart event clears it).
-func (st *onlineState) refreshHealth(plan *chaos.Plan, at time.Duration) {
+func (st *passState) refreshHealth(plan *chaos.Plan, at time.Duration) {
 	if plan == nil {
 		return
 	}

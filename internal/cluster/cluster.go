@@ -1,8 +1,8 @@
 // Package cluster scales the single-engine serving simulation out to a
 // multi-replica cluster: N independent engine.Engine replicas — each
 // with its own core.Manager heap and simulated gpu.Device — run
-// concurrently on their own goroutines, while a pluggable Router
-// decides which replica serves each request of the arrival stream.
+// concurrently on shard goroutines, while a pluggable Router decides
+// which replica serves each request of the arrival stream.
 //
 // The routing decision is where the paper's single-engine story meets
 // production scale-out: prefix-cache hit rate depends on *which*
@@ -13,27 +13,27 @@
 // the fleet's caches partition the prefix space — the PagedAttention
 // sharing insight lifted one level up.
 //
-// Engines are goroutine-confined: the cluster serializes routing, hands
-// each replica its own request slice, and only aggregates results after
-// all replicas finish. Nothing is shared between replica goroutines.
-//
-// Two serving paths share the replicas and the aggregation. Serve is
-// the batch path: placement is precomputed from estimate-drained
-// loads, then every replica's Engine.Run (the batch driver over the
-// engine's streaming core) executes concurrently. ServeOnline (see
-// online.go) drives the streaming cores directly: replicas advance to
-// each arrival instant, routers decide on live per-replica state
-// (measured Usage, queue depth, outstanding tokens — Load.Live), and
-// per-replica admission policies shed at arrival.
-//
-//jenga:concurrent batch fan-out: one goroutine per goroutine-confined replica, joined before aggregation
+// There is one serve loop (stream.go). A router goroutine pulls the
+// arrival stream, places each request and hands it to the shard that
+// owns the chosen replica through a bounded mailbox; each shard
+// advances only its own engines. The router touches engine state only
+// at a barrier, an exact simulated instant at which every shard has
+// advanced its replicas and parked: there it reads load snapshots,
+// applies chaos crashes and restarts, drains and migrates for the
+// fleet, fetches from the fleet store and submits directly. The three
+// public methods differ only in how often barriers come: Serve never
+// takes one (routers see drained estimates), ServeOnline takes one at
+// every arrival (routers see live per-replica state — measured Usage,
+// queue depth, outstanding tokens, Load.Live), and ServeStream takes
+// one every StreamConfig.SnapshotEvery of simulated time, or at every
+// arrival when a chaos plan or a fleet mechanism is configured. Every
+// path retires finished requests through the engines' retire sinks
+// into one exact aggregator.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"jenga/internal/core"
@@ -103,18 +103,18 @@ type Config struct {
 	// is measured against (0: attainment over per-request deadlines).
 	SLOTTFT time.Duration
 	// Fleet configures the cluster-wide KV store and live request
-	// migration for ServeOnline (see FleetPolicy). Zero value:
-	// disabled — no directory, no peer transfers, no migration.
+	// migration (see FleetPolicy). Zero value: disabled — no
+	// directory, no peer transfers, no migration.
 	Fleet FleetPolicy
 	// Chaos attaches a deterministic fault-injection plan and the
 	// recovery machinery (see ChaosPolicy). Zero value: no faults,
 	// bit-identical to a chaos-free cluster.
 	Chaos ChaosPolicy
 	// EventSink, when set, receives every replica engine's events
-	// tagged with the replica index. During the arrival loop events
-	// arrive serially; during the concurrent drain phase they arrive
-	// from replica goroutines, so implementations must be
-	// goroutine-safe.
+	// tagged with the replica index. Events arrive throughout the run
+	// from the shard goroutines, several at once (and from the router
+	// goroutine at barriers), so implementations must be
+	// goroutine-safe. Each replica's events arrive in its own order.
 	EventSink func(replica int, ev engine.Event)
 }
 
@@ -210,7 +210,7 @@ type Result struct {
 	// (the sum of per-replica MigratedIn).
 	Migrations int
 	// Crashes and Restarts count the chaos plan's replica failures
-	// applied during ServeOnline; Redispatched is how many in-flight
+	// applied during the run; Redispatched is how many in-flight
 	// requests from crashed replicas were recovered onto survivors,
 	// LostRequests how many died with their replica (recovery off, or
 	// no survivor to take them).
@@ -345,116 +345,134 @@ func (c *Cluster) Router() Router { return c.router }
 
 // Route partitions a request stream across replicas in arrival order
 // without running it, returning one slice per replica. Exposed so
-// tests and tools can inspect placement; Serve uses the same path.
-// Stateful built-in routers are reset at the start of every pass, so
-// placement is a pure function of the stream and a Route followed by
-// Serve sees the identical assignment (a custom stateful Router keeps
-// its own state across passes and forfeits that guarantee).
+// tests and tools can inspect placement; Serve places through the same
+// helper. Stateful built-in routers are reset at the start of every
+// pass, so placement is a pure function of the stream and a Route
+// followed by Serve sees the identical assignment (a custom stateful
+// Router keeps its own state across passes and forfeits that
+// guarantee).
 func (c *Cluster) Route(reqs []workload.Request) [][]workload.Request {
-	assigned, _ := c.route(reqs)
+	p := c.newPlacer()
+	assigned := make([][]workload.Request, len(c.engines))
+	stream := byArrival(reqs)
+	for i := range stream {
+		r := &stream[i]
+		rep := p.place(r)
+		p.account(rep, r)
+		assigned[rep] = append(assigned[rep], *r)
+	}
 	return assigned
 }
 
-// route is Route plus the final per-replica Load vector.
-func (c *Cluster) route(reqs []workload.Request) ([][]workload.Request, []Load) {
+// byArrival returns a copy of reqs stably sorted by arrival time.
+func byArrival(reqs []workload.Request) []workload.Request {
+	stream := append([]workload.Request(nil), reqs...)
+	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Arrival < stream[j].Arrival })
+	return stream
+}
+
+// placer is the router-side placement state Route and the serve loop
+// share: the per-replica loads, their drained-estimate decay, the
+// router call with its clamp, and the load accounting.
+type placer struct {
+	router    Router
+	drainRate float64
+	loads     []Load
+	last      time.Duration
+}
+
+// newPlacer resets a stateful built-in router and starts every
+// replica's load at zero.
+func (c *Cluster) newPlacer() *placer {
 	if r, ok := c.router.(resettable); ok {
 		r.reset()
 	}
-	n := len(c.engines)
-	assigned := make([][]workload.Request, n)
-	loads := make([]Load, n)
+	loads := make([]Load, len(c.engines))
 	for i := range loads {
 		loads[i].Replica = i
 	}
-	stream := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Arrival < stream[j].Arrival })
-	lastArrival := time.Duration(0)
-	for i := range stream {
-		r := &stream[i]
-		// Drain outstanding work at the nominal serving rate for the
-		// time elapsed since the previous arrival.
-		if dt := (r.Arrival - lastArrival).Seconds(); dt > 0 && c.drainRate > 0 {
-			for j := range loads {
-				loads[j].Outstanding -= c.drainRate * dt
-				if loads[j].Outstanding < 0 {
-					loads[j].Outstanding = 0
-				}
-			}
-		}
-		lastArrival = r.Arrival
-		rep := c.router.Route(r, loads)
-		if rep < 0 || rep >= n {
-			rep = 0 // defensive: a broken custom router must not panic the run
-		}
-		work := int64(len(r.Prompt) + r.OutputLen)
-		loads[rep].Requests++
-		loads[rep].RoutedTokens += work
-		loads[rep].Outstanding += float64(work)
-		assigned[rep] = append(assigned[rep], *r)
-	}
-	return assigned, loads
+	return &placer{router: c.router, drainRate: c.drainRate, loads: loads}
 }
 
-// Serve routes the request stream and runs every replica to completion
-// concurrently, then aggregates the fleet result. The simulation is
-// deterministic: placement is computed serially before any replica
-// starts, and each replica's engine is deterministic on its share.
+// place drains every replica's Outstanding estimate at the nominal
+// serving rate up to r's arrival, then asks the router for a replica.
+func (p *placer) place(r *workload.Request) int {
+	if dt := (r.Arrival - p.last).Seconds(); dt > 0 && p.drainRate > 0 {
+		for j := range p.loads {
+			p.loads[j].Outstanding -= p.drainRate * dt
+			if p.loads[j].Outstanding < 0 {
+				p.loads[j].Outstanding = 0
+			}
+		}
+	}
+	p.last = r.Arrival
+	rep := p.router.Route(r, p.loads)
+	if rep < 0 || rep >= len(p.loads) {
+		rep = 0 // defensive: a broken custom router must not panic the run
+	}
+	return rep
+}
+
+// account charges r's work to replica rep. Over a live snapshot it
+// also adds optimistic deltas: a snapshot can't see work routed after
+// it, so without them a load-aware router would send every arrival
+// until the next barrier to whichever replica the last snapshot
+// showed coolest. The next barrier overwrites both with measured
+// values.
+func (p *placer) account(rep int, r *workload.Request) {
+	work := int64(len(r.Prompt) + r.OutputLen)
+	l := &p.loads[rep]
+	l.Requests++
+	l.RoutedTokens += work
+	l.Outstanding += float64(work)
+	if l.Live {
+		l.OutstandingTokens += work
+		l.QueueDepth++
+	}
+}
+
+// Serve routes the request stream and runs every replica to completion,
+// one shard goroutine per replica, then aggregates the fleet result.
+// It is the serve loop without load snapshots: routers see only the
+// drained estimates (Load.Live stays false), so placement is exactly
+// what Route returns, and each replica's engine is deterministic on
+// its share.
 func (c *Cluster) Serve(reqs []workload.Request) (*Result, error) {
-	assigned, loads := c.route(reqs)
-	n := len(c.engines)
-	results := make([]*engine.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range c.engines {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := c.engines[i].Run(assigned[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: replica %d: %w", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return c.aggregate(loads, results, groupCounts(reqs)), nil
+	return c.drive(workload.SliceSource(byArrival(reqs)), len(c.engines), defaultMailbox, noBarriers, false)
 }
 
-// groupCounts tallies the request stream by group label (every
-// request is routed somewhere, so this is the fleet's routed-group
-// census).
-func groupCounts(reqs []workload.Request) map[int64]int {
-	out := make(map[int64]int)
-	for i := range reqs {
-		out[reqs[i].Group]++
-	}
-	return out
+// ServeOnline drives the fleet as an online event-driven system in
+// simulated time: it is the serve loop with one shard per replica and
+// a barrier at every arrival. Every replica is advanced to the
+// arrival instant, the router places the request against the
+// replicas' live state — measured KV usage, queue depth and
+// outstanding work, not Serve's drained estimates — and the request
+// is submitted to the chosen replica, where its admission policy may
+// still shed it. It is the serial reference ServeStream is checked
+// against.
+//
+// When a chaos plan is attached (Config.Chaos), every crash and
+// restart is applied at its exact instant, at a barrier of its own
+// before the next arrival, so the schedule is reproducible to the
+// step. Degrade and straggler windows stretch the affected replica's
+// steps through the engine's fault hook, routing falls over from dead
+// and sick replicas, and with Chaos.Recover the crashed replicas'
+// requests re-dispatch to survivors.
+func (c *Cluster) ServeOnline(reqs []workload.Request) (*Result, error) {
+	return c.drive(workload.SliceSource(byArrival(reqs)), len(c.engines), defaultMailbox, 0, true)
 }
 
-// aggregate folds per-replica results into the fleet view.
-// routedGroups maps each group label to the number of requests routed
-// anywhere in the fleet (starvation accounting needs the groups that
-// got nothing back).
-func (c *Cluster) aggregate(loads []Load, results []*engine.Result, routedGroups map[int64]int) *Result {
+// aggregate folds the engines' results and the merged retirement
+// record into the fleet view.
+func (c *Cluster) aggregate(loads []Load, acc *retireAcc, routedGroups map[int64]int) *Result {
 	out := &Result{
 		Policy:   c.router.Name(),
-		Replicas: len(results),
+		Replicas: len(c.engines),
 	}
 	var cached, computed, generated, restored int64
-	var ttfts, e2es, restores []time.Duration
-	deadlineMet := 0
-	shares := make([]float64, len(results))
-	type groupAcc struct {
-		tokens   int64
-		finished int
-		ttftSum  time.Duration
-	}
-	groups := make(map[int64]*groupAcc)
-	for i, res := range results {
+	shares := make([]float64, len(c.engines))
+	for i, e := range c.engines {
+		res := e.ResultSnapshot()
 		shares[i] = float64(loads[i].RoutedTokens)
 		out.PerReplica = append(out.PerReplica, ReplicaResult{
 			Replica:      i,
@@ -481,28 +499,12 @@ func (c *Cluster) aggregate(loads []Load, results []*engine.Result, routedGroups
 		out.PeerBytes += res.PeerBytes
 		out.Migrations += res.MigratedIn
 		out.MeanKVUtil += res.MeanKVUtil
-		for _, rm := range res.PerRequest {
-			ttfts = append(ttfts, rm.TTFT)
-			e2es = append(e2es, rm.E2E)
-			restores = append(restores, rm.RestoreTime)
-			if rm.Deadline == 0 || rm.E2E <= rm.Deadline {
-				deadlineMet++
-			}
-			g := groups[rm.Group]
-			if g == nil {
-				g = &groupAcc{}
-				groups[rm.Group] = g
-			}
-			g.tokens += int64(rm.Tokens)
-			g.finished++
-			g.ttftSum += rm.TTFT
-		}
 	}
 	// Cross-replica fairness and starvation over prefix groups. Sorted
 	// traversal keeps the float accumulation order (and so Jain's
 	// rounding) identical across runs.
-	groupTokens := make([]float64, 0, len(groups))
-	for _, g := range detmap.Sorted(groups) {
+	groupTokens := make([]float64, 0, len(acc.groups))
+	for _, g := range detmap.Sorted(acc.groups) {
 		groupTokens = append(groupTokens, float64(g.tokens))
 		if mean := g.ttftSum / time.Duration(g.finished); mean > out.MaxGroupMeanTTFT {
 			out.MaxGroupMeanTTFT = mean
@@ -510,22 +512,22 @@ func (c *Cluster) aggregate(loads []Load, results []*engine.Result, routedGroups
 	}
 	out.GroupJain = metrics.Jain(groupTokens)
 	for g, routed := range routedGroups {
-		if routed > 0 && groups[g] == nil {
+		if routed > 0 && acc.groups[g] == nil {
 			out.StarvedGroups++
 		}
 	}
-	if n := len(results); n > 0 {
+	if n := len(c.engines); n > 0 {
 		out.MeanKVUtil /= float64(n)
 	}
 	if out.Duration > 0 {
 		out.ReqPerSec = float64(out.Finished) / out.Duration.Seconds()
 		out.TokensPerSec = float64(computed+generated) / out.Duration.Seconds()
-		out.Goodput = metrics.Goodput(deadlineMet, out.Duration)
+		out.Goodput = metrics.Goodput(acc.deadlineMet, out.Duration)
 	}
 	if c.cfg.SLOTTFT > 0 {
-		out.SLOAttainment = metrics.Attainment(ttfts, c.cfg.SLOTTFT)
+		out.SLOAttainment = metrics.Attainment(acc.ttft, c.cfg.SLOTTFT)
 	} else {
-		out.SLOAttainment = metrics.Fraction(deadlineMet, out.Finished)
+		out.SLOAttainment = metrics.Fraction(acc.deadlineMet, out.Finished)
 	}
 	out.CachedPromptTokens = cached
 	out.ComputedPromptTokens = computed
@@ -534,11 +536,72 @@ func (c *Cluster) aggregate(loads []Load, results []*engine.Result, routedGroups
 		out.TierHitRate = float64(restored) / float64(work)
 		out.PeerHitRate = float64(out.PeerTokens) / float64(work)
 	}
-	out.P99Restore = metrics.Percentile(restores, 99)
+	out.P99Restore = metrics.Percentile(acc.restore, 99)
 	out.Imbalance = metrics.Imbalance(shares)
-	tq := metrics.Percentiles(ttfts, 50, 99)
-	eq := metrics.Percentiles(e2es, 50, 99)
+	tq := metrics.Percentiles(acc.ttft, 50, 99)
+	eq := metrics.Percentiles(acc.e2e, 50, 99)
 	out.P50TTFT, out.P99TTFT = tq[0], tq[1]
 	out.P50E2E, out.P99E2E = eq[0], eq[1]
 	return out
+}
+
+// retireAcc folds finished requests as their engines retire them:
+// exact TTFT, E2E and restore-time samples (24 B per request), the
+// deadline count and per-group sums. Each shard has one, written only
+// while the shard's engines run — on the shard goroutine, or on the
+// router while the shard is parked at a barrier — and the shards'
+// records merge after the drain.
+type retireAcc struct {
+	ttft, e2e, restore []time.Duration
+	deadlineMet        int
+	groups             map[int64]*groupAcc
+}
+
+// groupAcc is one tenant's served-work accumulator.
+type groupAcc struct {
+	tokens   int64
+	finished int
+	ttftSum  time.Duration
+}
+
+// observe is the engines' RetireSink: latency fields are meaningful
+// only for EventFinished, so every other terminal is left to the
+// engines' own counters.
+func (a *retireAcc) observe(m engine.RequestMetrics, ev engine.EventType) {
+	if ev != engine.EventFinished {
+		return
+	}
+	a.ttft = append(a.ttft, m.TTFT)
+	a.e2e = append(a.e2e, m.E2E)
+	a.restore = append(a.restore, m.RestoreTime)
+	if m.Deadline == 0 || m.E2E <= m.Deadline {
+		a.deadlineMet++
+	}
+	g := a.groups[m.Group]
+	if g == nil {
+		g = &groupAcc{}
+		a.groups[m.Group] = g
+	}
+	g.tokens += int64(m.Tokens)
+	g.finished++
+	g.ttftSum += m.TTFT
+}
+
+// merge folds o into a. Every field is a sample multiset or an integer
+// sum, so the merged record does not depend on the shard order.
+func (a *retireAcc) merge(o *retireAcc) {
+	a.ttft = append(a.ttft, o.ttft...)
+	a.e2e = append(a.e2e, o.e2e...)
+	a.restore = append(a.restore, o.restore...)
+	a.deadlineMet += o.deadlineMet
+	for id, og := range o.groups {
+		g := a.groups[id]
+		if g == nil {
+			g = &groupAcc{}
+			a.groups[id] = g
+		}
+		g.tokens += og.tokens
+		g.finished += og.finished
+		g.ttftSum += og.ttftSum
+	}
 }

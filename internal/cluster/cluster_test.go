@@ -141,7 +141,7 @@ func TestServeConcurrentReplicas(t *testing.T) {
 }
 
 // TestWarmCacheAcrossServes checks that a second Serve on the same
-// cluster reuses the replica caches left by the first (the engine Run
+// cluster reuses the replica caches left by the first (the engine
 // reset keeps manager state).
 func TestWarmCacheAcrossServes(t *testing.T) {
 	c := testCluster(t, 4, PrefixAffinity, 64<<20)

@@ -8,7 +8,9 @@ import (
 )
 
 // FleetPolicy configures the cluster-wide KV store and live request
-// migration (internal/fleet) for ServeOnline. The zero value disables
+// migration (internal/fleet). Any mechanism on makes the serve loop
+// take a barrier at every arrival (in ServeStream too): fetches and
+// migrations act on several replicas at once. The zero value disables
 // everything: no directory, no peer transfers, no migration — the
 // cluster is bit-identical to a fleet-unaware one.
 type FleetPolicy struct {
@@ -52,6 +54,7 @@ func (p FleetPolicy) enabled() bool {
 // replica rep: if the directory says peers extend rep's local prefix,
 // the pages move into rep's host tier now (serially, before Submit)
 // and the wire bytes are charged to rep's next step as peer-link DMA.
+// Runs at a barrier, with every shard parked.
 func (c *Cluster) fleetFetch(rep int, id int64, prompt []core.Token) {
 	if c.store == nil {
 		return
@@ -72,7 +75,7 @@ func (c *Cluster) fleetFetch(rep int, id int64, prompt []core.Token) {
 // are still in its tier, so MigrateIn re-queues the request exactly
 // where it left — unless the source is draining out of service, in
 // which case the request is shed (its one terminal event).
-func (c *Cluster) migrate(st *onlineState, src, dst int, id int64) bool {
+func (c *Cluster) migrate(st *passState, src, dst int, id int64) bool {
 	m, ok := c.engines[src].MigrateOut(id)
 	if !ok {
 		return false
@@ -102,7 +105,7 @@ func (c *Cluster) migrate(st *onlineState, src, dst int, id int64) bool {
 // sick ones (inside a degraded or straggler window) are a fallback;
 // dead and drained replicas are never candidates. Returns -1 when no
 // candidate is in service.
-func (c *Cluster) coolestReplica(st *onlineState, exclude int) int {
+func (c *Cluster) coolestReplica(st *passState, exclude int) int {
 	pick := func(want Health) int {
 		best, bestOut := -1, int64(0)
 		for i, e := range c.engines {
@@ -124,9 +127,10 @@ func (c *Cluster) coolestReplica(st *onlineState, exclude int) int {
 
 // drainReplicas evacuates the fleet's tail replicas for scale-down:
 // every live request on a draining replica migrates to the coolest
-// surviving replica (Migrate) or is shed (otherwise). Runs serially
-// inside the arrival loop, so the evacuation is deterministic.
-func (c *Cluster) drainReplicas(st *onlineState) {
+// surviving replica (Migrate) or is shed (otherwise). Runs at a
+// barrier, with every shard parked, so the evacuation is
+// deterministic.
+func (c *Cluster) drainReplicas(st *passState) {
 	n := len(c.engines)
 	k := c.cfg.Fleet.DrainReplicas
 	if k <= 0 {
@@ -159,7 +163,7 @@ func (c *Cluster) drainReplicas(st *onlineState) {
 // deterministic first candidate with the most remaining work, running
 // requests preferred (their KV rides the transfer path; queued ones
 // carry nothing).
-func (c *Cluster) rebalance(st *onlineState) {
+func (c *Cluster) rebalance(st *passState) {
 	thr := c.cfg.Fleet.ImbalanceThreshold
 	if !c.cfg.Fleet.Migrate || thr <= 1 {
 		return

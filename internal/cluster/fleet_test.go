@@ -10,9 +10,8 @@ import (
 )
 
 // eventLedger is a goroutine-safe EventSink recording, per request,
-// the terminal events and sheds seen fleet-wide. ServeOnline invokes
-// the sink serially during the arrival loop but concurrently during
-// the drain phase, so the ledger locks.
+// the terminal events and sheds seen fleet-wide. The serve loop's
+// shard goroutines invoke the sink concurrently, so the ledger locks.
 type eventLedger struct {
 	mu        sync.Mutex
 	terminals map[int64]int

@@ -57,10 +57,12 @@ func ParsePolicy(s string) (RouterPolicy, error) {
 // Load is the router-visible state of one replica at routing time. The
 // cluster maintains it: RoutedTokens grows with every assignment and
 // Outstanding additionally drains at the replica's nominal serving
-// rate as simulated arrival time advances. In online serving
-// (Cluster.ServeOnline) the Live fields additionally carry the
-// replica's actual scheduler state at the arrival instant, so routers
-// decide on measured usage and queue depth instead of estimates.
+// rate as simulated arrival time advances. When the serve loop takes
+// load snapshots the Live fields additionally carry the replica's
+// measured scheduler state: at the arrival instant in ServeOnline (and
+// in ServeStream under a chaos plan or fleet policy), at the last
+// SnapshotEvery epoch boundary otherwise in ServeStream, plus the
+// router's own placements since. Serve takes none.
 type Load struct {
 	// Replica is the replica index.
 	Replica int
@@ -72,8 +74,8 @@ type Load struct {
 	// Outstanding estimates tokens routed but not yet served.
 	Outstanding float64
 	// Live reports whether the fields below hold the replica's real
-	// scheduler state (online serving) rather than zero values (the
-	// precomputed batch routing pass).
+	// scheduler state (ServeOnline, ServeStream) rather than zero
+	// values (Serve and Route).
 	Live bool
 	// Usage is the replica's live KV memory accounting.
 	Usage core.Usage

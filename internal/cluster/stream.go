@@ -1,4 +1,4 @@
-//jenga:concurrent sharded event loops: replica shards, bounded mailboxes, and the epoch-horizon barrier channels
+//jenga:concurrent the serve loop: replica shards, bounded mailboxes, and the barrier channels
 package cluster
 
 import (
@@ -6,9 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"jenga/internal/detmap"
 	"jenga/internal/engine"
-	"jenga/internal/metrics"
+	"jenga/internal/fleet"
 	"jenga/internal/workload"
 )
 
@@ -19,133 +18,83 @@ type StreamConfig struct {
 	// above the replica count are clamped (an empty shard is useless).
 	Shards int
 	// Mailbox is each shard's bounded command-queue depth (routed
-	// arrivals plus snapshot horizons). 0 defaults to 256.
+	// arrivals plus barriers). 0 defaults to 256.
 	Mailbox int
-	// SnapshotEvery is the load-snapshot epoch length K in simulated
-	// time: replicas publish their SnapshotTotals at every multiple of
-	// K, and the router reads those epoch snapshots instead of
-	// force-advancing all engines per arrival. Smaller K is fresher
-	// load state but more synchronization; 0 defaults to 10ms.
+	// SnapshotEvery is the barrier epoch K in simulated time: at every
+	// multiple of K the shards park and publish their replicas'
+	// SnapshotTotals, and the router reads those epoch snapshots
+	// instead of per-arrival state. Smaller K is fresher load state
+	// but more synchronization; 0 defaults to 10ms. A config with a
+	// chaos plan or any fleet mechanism takes a barrier at every
+	// arrival instead (ServeOnline's schedule), because crashes,
+	// migrations and peer fetches act on several replicas at once.
 	SnapshotEvery time.Duration
 }
 
 const (
 	defaultMailbox       = 256
 	defaultSnapshotEvery = 10 * time.Millisecond
+	// noBarriers is the epoch of a serve loop that never parks the
+	// shards: routers see only the drained estimates (Serve).
+	noBarriers time.Duration = -1
 )
 
-// streamCmd is one shard-mailbox entry: a routed arrival (horizon
-// false) or a snapshot-horizon barrier (horizon true). Commands reach
-// each shard in router order, so per-replica arrival order is exactly
-// the routing order.
+// streamCmd is one shard-mailbox entry: a routed arrival or a barrier
+// at instant at. Commands reach each shard in router order, so
+// per-replica arrival order is exactly the routing order.
 type streamCmd struct {
 	req     workload.Request
 	rep     int
 	at      time.Duration
-	horizon bool
-}
-
-// streamGroup is one tenant's exact served-work accumulator (the
-// streamed counterpart of aggregate's per-group fold).
-type streamGroup struct {
-	tokens   int64
-	finished int
-	ttftSum  time.Duration
-}
-
-// streamAcc folds one shard's terminal request metrics as they retire:
-// latency histograms instead of per-request slices, exact counters for
-// everything aggregate computes exactly. One accumulator per shard,
-// touched only by that shard's goroutine — merged after the drain.
-type streamAcc struct {
-	ttft, e2e, restore metrics.DurationHist
-	deadlineMet        int
-	sloMet             int
-	groups             map[int64]*streamGroup
-}
-
-func newStreamAcc() *streamAcc {
-	return &streamAcc{groups: make(map[int64]*streamGroup)}
-}
-
-// observe folds one finished request (RetireSink latency fields are
-// only meaningful for EventFinished).
-func (a *streamAcc) observe(m engine.RequestMetrics, slo time.Duration) {
-	a.ttft.Observe(m.TTFT)
-	a.e2e.Observe(m.E2E)
-	a.restore.Observe(m.RestoreTime)
-	if m.Deadline == 0 || m.E2E <= m.Deadline {
-		a.deadlineMet++
-	}
-	if slo > 0 && m.TTFT <= slo {
-		a.sloMet++
-	}
-	g := a.groups[m.Group]
-	if g == nil {
-		g = &streamGroup{}
-		a.groups[m.Group] = g
-	}
-	g.tokens += int64(m.Tokens)
-	g.finished++
-	g.ttftSum += m.TTFT
+	barrier bool
 }
 
 // streamShard is one replica event loop: it owns replicas rep where
-// rep mod shards == id, consumes its mailbox in FIFO order, and
-// publishes load snapshots at horizon barriers.
+// rep mod shards == id, consumes its mailbox in FIFO order, and parks
+// at barriers.
 type streamShard struct {
-	id      int
-	cluster *Cluster
-	owned   []int // replica indices, ascending
-	cmds    chan streamCmd
-	// ack signals one completed horizon; loads is the snapshot buffer
-	// the router reads after the ack (the channel receive orders the
-	// shard's writes before the router's reads, and the router never
-	// reads it between a horizon send and its ack).
+	owned []int // replica indices, ascending
+	cmds  chan streamCmd
+	// ack signals one completed barrier. From the ack until the
+	// router's next command the shard waits on its empty mailbox and
+	// touches nothing: the router may read snaps and drive the owned
+	// engines directly (the channel operations order every access on
+	// either side).
 	ack   chan struct{}
-	loads []Load
-	acc   *streamAcc
+	snaps []engine.Snapshot
+	acc   retireAcc
 	err   error
 }
 
 // run is the shard goroutine body. On error it keeps consuming (and
-// acking horizons) so the router never blocks; the error surfaces
-// after the drain.
-func (s *streamShard) run(wg *sync.WaitGroup) {
+// acking barriers) so the router never blocks; the error surfaces at
+// the next barrier or after the drain.
+func (s *streamShard) run(engines []*engine.Engine, wg *sync.WaitGroup) {
 	defer wg.Done()
-	engines := s.cluster.engines
 	for cmd := range s.cmds {
-		if s.err != nil {
-			if cmd.horizon {
-				s.ack <- struct{}{}
-			}
-			continue
-		}
-		if cmd.horizon {
+		switch {
+		case s.err != nil:
+		case cmd.barrier:
 			for i, rep := range s.owned {
-				e := engines[rep]
-				if err := e.AdvanceTo(cmd.at); err != nil {
+				if err := engines[rep].AdvanceTo(cmd.at); err != nil {
 					s.err = fmt.Errorf("cluster: replica %d: %w", rep, err)
 					break
 				}
-				snap := e.SnapshotTotals()
-				s.loads[i].Usage = snap.Usage
-				s.loads[i].QueueDepth = snap.Pending + snap.Waiting
-				s.loads[i].OutstandingTokens = snap.OutstandingTokens
+				s.snaps[i] = engines[rep].SnapshotTotals()
 			}
+		default:
+			// Submit retains the pointer; the command is a loop
+			// variable, so give the engine its own copy.
+			req := cmd.req
+			e := engines[cmd.rep]
+			if err := e.AdvanceTo(req.Arrival); err != nil {
+				s.err = fmt.Errorf("cluster: replica %d: %w", cmd.rep, err)
+			} else if err := e.Submit(&req); err != nil {
+				s.err = fmt.Errorf("cluster: replica %d: %w", cmd.rep, err)
+			}
+		}
+		if cmd.barrier {
 			s.ack <- struct{}{}
-			continue
-		}
-		e := engines[cmd.rep]
-		if err := e.AdvanceTo(cmd.req.Arrival); err != nil {
-			s.err = fmt.Errorf("cluster: replica %d: %w", cmd.rep, err)
-			continue
-		}
-		// Submit retains the pointer; the command is a loop variable,
-		// so give the engine its own copy.
-		req := cmd.req
-		if err := e.Submit(&req); err != nil {
-			s.err = fmt.Errorf("cluster: replica %d: %w", cmd.rep, err)
 		}
 	}
 	if s.err != nil {
@@ -159,51 +108,32 @@ func (s *streamShard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// ServeStream is ServeOnline's scale path: the workload streams in
-// (never materialized), each replica's engine runs on a shard
-// goroutine fed by a bounded mailbox of routed arrivals, and routing
-// reads epoch-published load snapshots instead of force-advancing
-// every engine at every arrival — the O(replicas × arrivals) snapshot
-// work that dominates large serial runs becomes O(replicas × epochs),
-// and per-request retirement folds into fixed-size histograms so
-// memory stays bounded at any request count.
+// ServeStream is the serve loop over a streamed workload (never
+// materialized) with StreamConfig.Shards shard goroutines and a
+// barrier every SnapshotEvery of simulated time. The O(replicas ×
+// arrivals) snapshot work that dominates ServeOnline's large runs
+// becomes O(replicas × epochs); finished requests cost 24 B each in
+// the aggregator, nothing else is kept.
 //
 // The drive is a conservative parallel discrete-event simulation: at
-// each snapshot epoch boundary E·K the router broadcasts a horizon
-// barrier, every shard advances its replicas exactly to E·K and
-// publishes their SnapshotTotals, and only then does routing proceed.
-// Snapshots are therefore taken at exact simulated instants, so the
-// result is a pure function of the workload, config and shard-visible
-// routing state — independent of the shard count and of wall-clock
-// scheduling. For a load-oblivious router (prefix affinity, round
-// robin) routing never reads engine state at all, and every replica
-// receives exactly the ServeOnline request sequence: per-replica
-// results are bit-identical to the serial path at any shard count.
-// Load-aware routers see epoch-stale state (staleness < K) instead of
-// per-arrival state, so their placements are statistically — not
-// bit — equivalent to ServeOnline's.
+// each epoch boundary E·K every shard advances its replicas exactly to
+// E·K and publishes their SnapshotTotals, and only then does routing
+// proceed. Snapshots are taken at exact simulated instants, so the
+// result is a pure function of the workload, config and K —
+// independent of the shard count and of wall-clock scheduling. For a
+// load-oblivious router (prefix affinity, round robin) routing never
+// reads engine state, every replica receives exactly the ServeOnline
+// request sequence, and the Result equals ServeOnline's at any shard
+// count. Load-aware routers see epoch-stale state (staleness < K)
+// instead of per-arrival state, so their placements are statistically
+// — not bit — equivalent to ServeOnline's. A config with a chaos plan
+// or a fleet mechanism takes a barrier at every arrival, so its Result
+// equals ServeOnline's for every router.
 //
 // Arrivals must be non-decreasing (PoissonSource and MergeSources
-// guarantee this); chaos plans, the fleet store, scale-down drains and
-// migration need the serial arrival loop and are rejected. Latency
-// percentiles come from log-bucketed histograms (≤ ~3% relative
-// error, exact min/max); every count, rate and sum in the Result is
-// exact.
+// guarantee this). Every count, rate, sum and percentile in the Result
+// is exact.
 func (c *Cluster) ServeStream(src workload.Source, sc StreamConfig) (*Result, error) {
-	if c.cfg.Chaos.enabled() {
-		return nil, fmt.Errorf("cluster: ServeStream does not support a chaos plan (use ServeOnline)")
-	}
-	if c.cfg.Fleet.enabled() || c.store != nil {
-		return nil, fmt.Errorf("cluster: ServeStream does not support fleet policies (use ServeOnline)")
-	}
-	n := len(c.engines)
-	shards := sc.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
 	mailbox := sc.Mailbox
 	if mailbox <= 0 {
 		mailbox = defaultMailbox
@@ -212,245 +142,230 @@ func (c *Cluster) ServeStream(src workload.Source, sc StreamConfig) (*Result, er
 	if every <= 0 {
 		every = defaultSnapshotEvery
 	}
-	if r, ok := c.router.(resettable); ok {
-		r.reset()
+	return c.drive(src, sc.Shards, mailbox, every, true)
+}
+
+// driver is the router side of one serve pass.
+type driver struct {
+	c      *Cluster
+	shards []*streamShard
+	// every is the barrier epoch: 0 parks the shards at every arrival,
+	// noBarriers never. live publishes barrier snapshots to the router.
+	every time.Duration
+	live  bool
+	epoch int64
+	place *placer
+	st    *passState
+	// routed counts requests per group label (starvation accounting).
+	routed map[int64]int
+}
+
+// drive is the one cluster serve loop behind Serve, ServeOnline and
+// ServeStream: shards (clamped to [1, replicas]) event-loop goroutines
+// with mailbox-deep mailboxes, a barrier every `every` of simulated
+// time (0: at every arrival; noBarriers: never), and load snapshots
+// published to the router when live.
+func (c *Cluster) drive(src workload.Source, shards, mailbox int, every time.Duration, live bool) (*Result, error) {
+	n := len(c.engines)
+	if c.cfg.Chaos.enabled() || c.cfg.Fleet.enabled() {
+		every = 0
 	}
+	shards = min(max(shards, 1), n)
 	for _, e := range c.engines {
 		e.Reset()
 	}
-
-	// Build the shards and wire each owned engine's retirement into its
-	// shard's accumulator (sink calls run on the shard goroutine).
-	shardOf := make([]*streamShard, n)
-	ss := make([]*streamShard, shards)
-	for i := range ss {
-		s := &streamShard{
-			id:      i,
-			cluster: c,
-			cmds:    make(chan streamCmd, mailbox),
-			ack:     make(chan struct{}, 1),
-			acc:     newStreamAcc(),
-		}
-		ss[i] = s
+	d := &driver{
+		c: c, every: every, live: live, epoch: -1,
+		place:  c.newPlacer(),
+		st:     newPassState(n, c.cfg.Chaos),
+		routed: make(map[int64]int),
+		shards: make([]*streamShard, shards),
 	}
-	slo := c.cfg.SLOTTFT
-	for rep := 0; rep < n; rep++ {
-		s := ss[rep%shards]
+	for i := range d.shards {
+		d.shards[i] = &streamShard{
+			cmds: make(chan streamCmd, mailbox),
+			ack:  make(chan struct{}, 1),
+			acc:  retireAcc{groups: make(map[int64]*groupAcc)},
+		}
+	}
+	// Each engine retires into its shard's accumulator; the sink runs
+	// wherever the engine is being driven.
+	for rep, e := range c.engines {
+		s := d.shards[rep%shards]
 		s.owned = append(s.owned, rep)
-		shardOf[rep] = s
-		acc := s.acc
-		c.engines[rep].SetRetireSink(func(m engine.RequestMetrics, ev engine.EventType) {
-			if ev == engine.EventFinished {
-				acc.observe(m, slo)
-			}
-		})
+		e.SetRetireSink(s.acc.observe)
 	}
 	defer func() {
 		for _, e := range c.engines {
 			e.SetRetireSink(nil)
 		}
 	}()
-	for _, s := range ss {
-		s.loads = make([]Load, len(s.owned))
+	var storeBase fleet.StoreStats
+	if c.store != nil {
+		storeBase = c.store.Stats()
+		if d.st.cur != nil {
+			c.store.SetFaults(d.st.cur, c.cfg.Chaos.attempts())
+			defer c.store.SetFaults(nil, 1)
+		}
 	}
 	var wg sync.WaitGroup
-	for _, s := range ss {
+	for _, s := range d.shards {
+		s.snaps = make([]engine.Snapshot, len(s.owned))
 		wg.Add(1)
-		go s.run(&wg)
+		go s.run(c.engines, &wg)
 	}
 
-	// Route: the serial part of the drive. Epoch snapshots plus the
-	// drained-estimate Outstanding are the only engine state it reads.
-	loads := make([]Load, n)
-	for i := range loads {
-		loads[i].Replica = i
+	err := d.routeAll(src)
+	if err == nil {
+		// Crashes and restarts scheduled after the last arrival.
+		err = d.applyChaos(1 << 62)
 	}
-	routedGroups := make(map[int64]int)
-	epoch := int64(-1)
-	lastArrival := time.Duration(0)
-	var routeErr error
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		if r.Arrival < lastArrival {
-			routeErr = fmt.Errorf("cluster: ServeStream needs non-decreasing arrivals (got %v after %v)", r.Arrival, lastArrival)
-			break
-		}
-		// Snapshot horizon: on an epoch change, barrier every shard at
-		// the boundary E·K and collect the published loads.
-		if e := int64(r.Arrival / every); e > epoch {
-			epoch = e
-			at := time.Duration(epoch) * every
-			for _, s := range ss {
-				s.cmds <- streamCmd{at: at, horizon: true}
-			}
-			for _, s := range ss {
-				<-s.ack
-				for i, rep := range s.owned {
-					loads[rep].Live = true
-					loads[rep].Usage = s.loads[i].Usage
-					loads[rep].QueueDepth = s.loads[i].QueueDepth
-					loads[rep].OutstandingTokens = s.loads[i].OutstandingTokens
-				}
-			}
-		}
-		// Keep the estimate-drained Outstanding for routers written
-		// against the batch contract (same decay as the serial paths).
-		if dt := (r.Arrival - lastArrival).Seconds(); dt > 0 && c.drainRate > 0 {
-			for j := range loads {
-				loads[j].Outstanding -= c.drainRate * dt
-				if loads[j].Outstanding < 0 {
-					loads[j].Outstanding = 0
-				}
-			}
-		}
-		lastArrival = r.Arrival
-		rep := c.router.Route(r, loads)
-		if rep < 0 || rep >= n {
-			rep = 0 // defensive: a broken custom router must not panic the run
-		}
-		work := int64(len(r.Prompt) + r.OutputLen)
-		loads[rep].Requests++
-		loads[rep].RoutedTokens += work
-		loads[rep].Outstanding += float64(work)
-		// Optimistic local deltas over the stale snapshot: the epoch
-		// publish can't see work routed after it, so account for it
-		// here or a load-aware router dumps a whole epoch's arrivals on
-		// whichever replica the last snapshot showed coolest. The next
-		// horizon overwrites both with measured values.
-		loads[rep].OutstandingTokens += work
-		loads[rep].QueueDepth++
-		routedGroups[r.Group]++
-		shardOf[rep].cmds <- streamCmd{req: *r, rep: rep}
-	}
-
-	// EOF (or router error): close the mailboxes, let the shards drain
-	// their replicas to completion, then collect.
-	for _, s := range ss {
+	// Close the mailboxes and let the shards drain their replicas.
+	for _, s := range d.shards {
 		close(s.cmds)
 	}
 	wg.Wait()
-	if routeErr != nil {
-		return nil, routeErr
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range ss {
+	acc := &d.shards[0].acc
+	for _, s := range d.shards {
 		if s.err != nil {
 			return nil, s.err
 		}
+		if s != d.shards[0] {
+			acc.merge(&s.acc)
+		}
 	}
-	results := make([]*engine.Result, n)
-	for i, e := range c.engines {
-		results[i] = e.ResultSnapshot()
+	out := c.aggregate(d.place.loads, acc, d.routed)
+	st := d.st.stats
+	out.Crashes, out.Restarts = st.crashes, st.restarts
+	out.Redispatched, out.LostRequests = st.redispatched, st.lost
+	out.DirInvalidations, out.MigrationRollbacks = st.dirInvalidations, st.rollbacks
+	if c.store != nil {
+		ss := c.store.Stats()
+		out.FetchRetries = ss.Retries - storeBase.Retries
+		out.FetchFailures = ss.Failed - storeBase.Failed
+		out.FetchSkips = ss.Skipped - storeBase.Skipped
 	}
-	accs := make([]*streamAcc, len(ss))
-	for i, s := range ss {
-		accs[i] = s.acc
-	}
-	return c.aggregateStream(loads, results, accs, routedGroups), nil
+	return out, nil
 }
 
-// aggregateStream is aggregate for the streamed path: identical exact
-// counters, rates and fairness folds, with latency percentiles read
-// from the merged shard histograms instead of per-request slices.
-func (c *Cluster) aggregateStream(loads []Load, results []*engine.Result, accs []*streamAcc, routedGroups map[int64]int) *Result {
-	out := &Result{
-		Policy:   c.router.Name(),
-		Replicas: len(results),
-	}
-	var cached, computed, generated, restored int64
-	shares := make([]float64, len(results))
-	for i, res := range results {
-		shares[i] = float64(loads[i].RoutedTokens)
-		out.PerReplica = append(out.PerReplica, ReplicaResult{
-			Replica:      i,
-			Requests:     loads[i].Requests,
-			RoutedTokens: loads[i].RoutedTokens,
-			Result:       res,
-		})
-		out.Finished += res.Finished
-		out.Failed += res.Failed
-		out.Shed += res.Shed
-		if res.Duration > out.Duration {
-			out.Duration = res.Duration
+// routeAll pulls the source dry, placing each arrival.
+func (d *driver) routeAll(src workload.Source) error {
+	for {
+		r, ok := src.Next()
+		if !ok {
+			return nil
 		}
-		cached += res.CachedPromptTokens
-		computed += res.ComputedPromptTokens
-		generated += res.GeneratedTokens
-		restored += res.RestoredTokens
-		out.RestoredTokens += res.RestoredTokens
-		out.RecomputedTokens += res.RecomputedTokens
-		out.SwapOuts += res.SwapOuts
-		out.SwapIns += res.SwapIns
-		out.PeerHits += res.PeerHits
-		out.PeerTokens += res.PeerTokens
-		out.PeerBytes += res.PeerBytes
-		out.Migrations += res.MigratedIn
-		out.MeanKVUtil += res.MeanKVUtil
-	}
-	var ttft, e2e, restoreH metrics.DurationHist
-	deadlineMet, sloMet := 0, 0
-	groups := make(map[int64]*streamGroup)
-	for _, a := range accs {
-		ttft.Merge(&a.ttft)
-		e2e.Merge(&a.e2e)
-		restoreH.Merge(&a.restore)
-		deadlineMet += a.deadlineMet
-		sloMet += a.sloMet
-		for id, sg := range a.groups {
-			g := groups[id]
-			if g == nil {
-				g = &streamGroup{}
-				groups[id] = g
-			}
-			g.tokens += sg.tokens
-			g.finished += sg.finished
-			g.ttftSum += sg.ttftSum
+		if r.Arrival < d.place.last {
+			return fmt.Errorf("cluster: arrivals must be non-decreasing (got %v after %v)", r.Arrival, d.place.last)
 		}
-	}
-	// Sorted traversal: float accumulation order must not depend on
-	// map iteration order (see the identical aggregation in Serve).
-	groupTokens := make([]float64, 0, len(groups))
-	for _, g := range detmap.Sorted(groups) {
-		groupTokens = append(groupTokens, float64(g.tokens))
-		if mean := g.ttftSum / time.Duration(g.finished); mean > out.MaxGroupMeanTTFT {
-			out.MaxGroupMeanTTFT = mean
-		}
-	}
-	out.GroupJain = metrics.Jain(groupTokens)
-	for g, routed := range routedGroups {
-		if routed > 0 && groups[g] == nil {
-			out.StarvedGroups++
-		}
-	}
-	if n := len(results); n > 0 {
-		out.MeanKVUtil /= float64(n)
-	}
-	if out.Duration > 0 {
-		out.ReqPerSec = float64(out.Finished) / out.Duration.Seconds()
-		out.TokensPerSec = float64(computed+generated) / out.Duration.Seconds()
-		out.Goodput = metrics.Goodput(deadlineMet, out.Duration)
-	}
-	if c.cfg.SLOTTFT > 0 {
-		if n := ttft.Count(); n > 0 {
-			out.SLOAttainment = float64(sloMet) / float64(n)
+		d.routed[r.Group]++
+		var err error
+		if d.every == 0 {
+			err = d.arriveAtBarrier(r)
 		} else {
-			out.SLOAttainment = 1
+			err = d.arrive(r)
 		}
-	} else {
-		out.SLOAttainment = metrics.Fraction(deadlineMet, out.Finished)
+		if err != nil {
+			return err
+		}
 	}
-	out.CachedPromptTokens = cached
-	out.ComputedPromptTokens = computed
-	if work := cached + computed; work > 0 {
-		out.HitRate = float64(cached) / float64(work)
-		out.TierHitRate = float64(restored) / float64(work)
-		out.PeerHitRate = float64(out.PeerTokens) / float64(work)
+}
+
+// arrive places r between barriers: the owning shard advances the
+// chosen replica to r's arrival and submits it.
+func (d *driver) arrive(r *workload.Request) error {
+	if d.every > 0 {
+		if e := int64(r.Arrival / d.every); e > d.epoch {
+			d.epoch = e
+			if err := d.barrier(time.Duration(e) * d.every); err != nil {
+				return err
+			}
+		}
 	}
-	out.P99Restore = restoreH.Percentile(99)
-	out.Imbalance = metrics.Imbalance(shares)
-	out.P50TTFT, out.P99TTFT = ttft.Percentile(50), ttft.Percentile(99)
-	out.P50E2E, out.P99E2E = e2e.Percentile(50), e2e.Percentile(99)
-	return out
+	rep := d.place.place(r)
+	d.place.account(rep, r)
+	d.shards[rep%len(d.shards)].cmds <- streamCmd{req: *r, rep: rep}
+	return nil
+}
+
+// arriveAtBarrier places r with every shard parked at r's arrival
+// instant, the serial reference: chaos events due before it apply at
+// their own instants, routing sees per-arrival state, and the fleet
+// mechanisms and the submission act on the engines directly.
+func (d *driver) arriveAtBarrier(r *workload.Request) error {
+	c, st := d.c, d.st
+	if err := d.applyChaos(r.Arrival); err != nil {
+		return err
+	}
+	if err := d.barrier(r.Arrival); err != nil {
+		return err
+	}
+	st.refreshHealth(c.cfg.Chaos.Plan, r.Arrival)
+	if d.live {
+		for j := range d.place.loads {
+			d.place.loads[j].Health = st.health[j]
+		}
+	}
+	// Scale-down: at the first arrival past the drain deadline the
+	// tail replicas evacuate — live requests migrate to survivors
+	// (Fleet.Migrate) or shed — and stop receiving new work.
+	if c.cfg.Fleet.DrainAfter > 0 && !st.drainFired && r.Arrival >= c.cfg.Fleet.DrainAfter {
+		st.drainFired = true
+		c.drainReplicas(st)
+	}
+	rep := d.place.place(r)
+	if st.drained[rep] || st.health[rep] != Healthy {
+		// The router's pick is out of service (drained, dead, or
+		// inside a fault window): fall over to the coolest healthy
+		// survivor (lowest index on ties). With nowhere better to go
+		// the pick stands.
+		if alt := c.coolestReplica(st, -1); alt >= 0 {
+			rep = alt
+		}
+	}
+	// Fleet store: if peers hold prefix blocks this replica lacks,
+	// move them into its host tier before the request is submitted
+	// (the admission claim then restores them locally).
+	c.fleetFetch(rep, r.ID, r.Prompt)
+	req := new(workload.Request)
+	*req = *r
+	if err := c.engines[rep].Submit(req); err != nil {
+		return fmt.Errorf("cluster: replica %d: %w", rep, err)
+	}
+	d.place.account(rep, r)
+	// Imbalance rebalancing: at most one migration per arrival,
+	// hottest surviving replica to coolest.
+	c.rebalance(st)
+	return nil
+}
+
+// barrier parks every shard at instant at: each advances its replicas
+// exactly to at, snapshots them and acks. Live snapshots land in the
+// router's loads.
+func (d *driver) barrier(at time.Duration) error {
+	for _, s := range d.shards {
+		s.cmds <- streamCmd{at: at, barrier: true}
+	}
+	for _, s := range d.shards {
+		<-s.ack
+	}
+	for _, s := range d.shards {
+		if s.err != nil {
+			return s.err
+		}
+		if !d.live {
+			continue
+		}
+		for i, rep := range s.owned {
+			l, snap := &d.place.loads[rep], &s.snaps[i]
+			l.Live = true
+			l.Usage = snap.Usage
+			l.QueueDepth = snap.Pending + snap.Waiting
+			l.OutstandingTokens = snap.OutstandingTokens
+		}
+	}
+	return nil
 }

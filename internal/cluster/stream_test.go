@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"jenga/internal/chaos"
+	"jenga/internal/engine"
 	"jenga/internal/workload"
 )
 
@@ -48,10 +51,35 @@ func within(t *testing.T, name string, got, want, relTol float64) {
 	}
 }
 
-// With a load-oblivious router the streamed path routes identically to
-// the serial one, so every exact counter must match ServeOnline
-// bit for bit; only histogram-read percentiles may differ, within the
-// bucket resolution.
+// sameResult fails the test for every Result field on which got and
+// want differ; per-replica engine results are compared in full.
+func sameResult(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	gv, wv := reflect.ValueOf(*got), reflect.ValueOf(*want)
+	for i := 0; i < gv.NumField(); i++ {
+		field := gv.Type().Field(i).Name
+		if field == "PerReplica" {
+			continue
+		}
+		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: %s: %v vs %v", name, field, g, w)
+		}
+	}
+	if len(got.PerReplica) != len(want.PerReplica) {
+		t.Fatalf("%s: %d vs %d replicas", name, len(got.PerReplica), len(want.PerReplica))
+	}
+	for i := range got.PerReplica {
+		g, w := got.PerReplica[i], want.PerReplica[i]
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: replica %d: %d reqs %d tokens %+v\nvs %d reqs %d tokens %+v",
+				name, i, g.Requests, g.RoutedTokens, *g.Result, w.Requests, w.RoutedTokens, *w.Result)
+		}
+	}
+}
+
+// With a load-oblivious router every path routes identically, so
+// Serve, ServeStream and ServeOnline must agree in every Result field,
+// the exact percentiles included.
 func TestServeStreamMatchesServeOnlineAffinity(t *testing.T) {
 	reqs := streamWorkload(11, time.Second)
 	serial, err := streamCluster(t, 4, PrefixAffinity).ServeOnline(reqs)
@@ -62,55 +90,15 @@ func TestServeStreamMatchesServeOnlineAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream.Finished != serial.Finished || stream.Failed != serial.Failed || stream.Shed != serial.Shed {
-		t.Fatalf("terminal counts differ: stream %d/%d/%d serial %d/%d/%d",
-			stream.Finished, stream.Failed, stream.Shed, serial.Finished, serial.Failed, serial.Shed)
+	batch, err := streamCluster(t, 4, PrefixAffinity).Serve(reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stream.Duration != serial.Duration {
-		t.Fatalf("duration differs: %v vs %v", stream.Duration, serial.Duration)
+	if serial.Finished == 0 {
+		t.Fatal("serial run finished nothing")
 	}
-	if stream.ReqPerSec != serial.ReqPerSec || stream.TokensPerSec != serial.TokensPerSec ||
-		stream.Goodput != serial.Goodput {
-		t.Fatalf("rates differ: %+v vs %+v", stream, serial)
-	}
-	if stream.HitRate != serial.HitRate ||
-		stream.CachedPromptTokens != serial.CachedPromptTokens ||
-		stream.ComputedPromptTokens != serial.ComputedPromptTokens ||
-		stream.RestoredTokens != serial.RestoredTokens {
-		t.Fatalf("cache accounting differs: %+v vs %+v", stream, serial)
-	}
-	if stream.GroupJain != serial.GroupJain || stream.MaxGroupMeanTTFT != serial.MaxGroupMeanTTFT ||
-		stream.StarvedGroups != serial.StarvedGroups {
-		t.Fatalf("fairness differs: jain %v/%v maxTTFT %v/%v starved %d/%d",
-			stream.GroupJain, serial.GroupJain, stream.MaxGroupMeanTTFT, serial.MaxGroupMeanTTFT,
-			stream.StarvedGroups, serial.StarvedGroups)
-	}
-	if stream.Imbalance != serial.Imbalance || stream.MeanKVUtil != serial.MeanKVUtil ||
-		stream.SLOAttainment != serial.SLOAttainment {
-		t.Fatalf("scorecard differs: imbalance %v/%v kvutil %v/%v slo %v/%v",
-			stream.Imbalance, serial.Imbalance, stream.MeanKVUtil, serial.MeanKVUtil,
-			stream.SLOAttainment, serial.SLOAttainment)
-	}
-	for i := range serial.PerReplica {
-		s, o := stream.PerReplica[i], serial.PerReplica[i]
-		if s.Requests != o.Requests || s.RoutedTokens != o.RoutedTokens {
-			t.Fatalf("replica %d routing differs: %d/%d tokens %d/%d",
-				i, s.Requests, o.Requests, s.RoutedTokens, o.RoutedTokens)
-		}
-		if s.Result.Finished != o.Result.Finished || s.Result.Duration != o.Result.Duration ||
-			s.Result.Steps != o.Result.Steps ||
-			s.Result.CachedPromptTokens != o.Result.CachedPromptTokens ||
-			s.Result.GeneratedTokens != o.Result.GeneratedTokens {
-			t.Fatalf("replica %d engine result differs:\nstream %+v\nserial %+v", i, s.Result, o.Result)
-		}
-	}
-	// Percentiles are histogram reads: within the bucket width of the
-	// serial exact values (min/max ranks are exact).
-	within(t, "p50 TTFT", float64(stream.P50TTFT), float64(serial.P50TTFT), 0.06)
-	within(t, "p99 TTFT", float64(stream.P99TTFT), float64(serial.P99TTFT), 0.06)
-	within(t, "p50 E2E", float64(stream.P50E2E), float64(serial.P50E2E), 0.06)
-	within(t, "p99 E2E", float64(stream.P99E2E), float64(serial.P99E2E), 0.06)
-	within(t, "p99 restore", float64(stream.P99Restore), float64(serial.P99Restore), 0.06)
+	sameResult(t, "stream vs serial", stream, serial)
+	sameResult(t, "batch vs serial", batch, serial)
 }
 
 // The conservative-horizon protocol makes the run a pure function of
@@ -169,58 +157,90 @@ func TestServeStreamLeastLoadedEquivalence(t *testing.T) {
 	within(t, "imbalance", stream.Imbalance, serial.Imbalance, 0.10)
 }
 
-// A cluster is reusable across streamed and serial passes: the retire
-// sink is detached afterwards, so a following ServeOnline still gets
-// exact per-request aggregation.
+// A cluster is reusable across streamed and serial passes: a
+// streamed pass leaves the replicas exactly as a serial pass does, so
+// a warm ServeOnline after it matches the warm second pass of a fresh
+// cluster that ran ServeOnline twice.
 func TestServeStreamThenServeOnline(t *testing.T) {
-	c := streamCluster(t, 3, PrefixAffinity)
 	reqs := streamWorkload(9, 0)
-	first, err := c.ServeStream(workload.SliceSource(reqs), StreamConfig{Shards: 3})
-	if err != nil {
+	c := streamCluster(t, 3, PrefixAffinity)
+	if _, err := c.ServeStream(workload.SliceSource(reqs), StreamConfig{Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
 	second, err := c.ServeOnline(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Finished != second.Finished {
-		t.Fatalf("streamed pass finished %d, serial re-run %d", first.Finished, second.Finished)
+	fresh := streamCluster(t, 3, PrefixAffinity)
+	if _, err := fresh.ServeOnline(reqs); err != nil {
+		t.Fatal(err)
 	}
-	if len(second.PerReplica) > 0 {
-		total := 0
-		for _, pr := range second.PerReplica {
-			total += len(pr.Result.PerRequest)
-		}
-		if total != second.Finished {
-			t.Fatalf("serial pass after stream lost per-request records: %d != %d", total, second.Finished)
-		}
+	want, err := fresh.ServeOnline(reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if want.Finished == 0 {
+		t.Fatal("warm pass finished nothing")
+	}
+	sameResult(t, "warm pass after stream vs after serial", second, want)
 }
 
-// Chaos plans and fleet mechanisms need the serial arrival loop.
-func TestServeStreamRejectsIncompatibleConfigs(t *testing.T) {
-	src := func() workload.Source { return workload.SliceSource(streamWorkload(1, 0)) }
+// fleetChaosCluster is a four-replica fleet with every fleet mechanism
+// and a chaos plan: replica 1 crashes and restarts cold, replica 2
+// runs degraded, peer transfers and migrations fault, recovery is on,
+// and replica 3 drains out late in the stream.
+func fleetChaosCluster(t *testing.T, span time.Duration) *Cluster {
+	t.Helper()
+	plan := chaos.NewPlan(3).
+		Crash(1, span*2/5).
+		Restart(1, span*3/5).
+		Degrade(2, span/5, span/2, 0.25, 0.5)
+	plan.FetchFailRate = 0.3
+	plan.MigrateFailRate = 0.2
 	c, err := New(Config{
-		Spec: testSpec(), Replicas: 2, Policy: PrefixAffinity,
+		Spec: testSpec(), Replicas: 4, Policy: LeastLoaded,
 		CapacityBytes: perReplicaCapacity,
-		Chaos:         ChaosPolicy{Plan: chaos.NewPlan(1).Crash(0, time.Second)},
+		HostTierBytes: 64 << 20,
+		PreemptMode:   engine.PreemptSwap,
+		SLOTTFT:       500 * time.Millisecond,
+		Fleet: FleetPolicy{
+			Store: true, Migrate: true,
+			ImbalanceThreshold: 1.5,
+			DrainAfter:         span * 4 / 5,
+		},
+		Chaos: ChaosPolicy{Plan: plan, Recover: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ServeStream(src(), StreamConfig{}); err == nil {
-		t.Fatal("chaos plan must be rejected")
-	}
-	c, err = New(Config{
-		Spec: testSpec(), Replicas: 2, Policy: PrefixAffinity,
-		CapacityBytes: perReplicaCapacity,
-		Fleet:         FleetPolicy{DrainAfter: time.Second},
-	})
+	return c
+}
+
+// A chaos plan or a fleet mechanism makes ServeStream take a barrier
+// at every arrival, where crashes, restarts, drains, migrations and
+// peer fetches act on parked shards: the result must equal ServeOnline
+// in every field at any shard count, for a load-aware router too.
+// Not skipped under -short, so the race pass covers the barrier
+// hand-off.
+func TestServeStreamFleetChaosMatchesServeOnline(t *testing.T) {
+	reqs := churnStream(47)
+	first, last := workload.Span(reqs)
+	span := last - first
+	serial, err := fleetChaosCluster(t, span).ServeOnline(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ServeStream(src(), StreamConfig{}); err == nil {
-		t.Fatal("fleet scale-down must be rejected")
+	if serial.Crashes != 1 || serial.Restarts != 1 || serial.Redispatched == 0 ||
+		serial.Migrations == 0 || serial.MigrationRollbacks == 0 ||
+		serial.PeerHits == 0 || serial.FetchRetries == 0 {
+		t.Fatalf("plan did not exercise the fleet and chaos paths: %+v", *serial)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		stream, err := fleetChaosCluster(t, span).ServeStream(workload.SliceSource(reqs), StreamConfig{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("shards %d", shards), stream, serial)
 	}
 }
 

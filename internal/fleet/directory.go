@@ -13,9 +13,12 @@
 // them. The engine charges the moved bytes as peer-link DMA
 // (gpu.StepWork.PeerBytes), not PCIe.
 //
-// Nothing here runs its own goroutines; the cluster's serial arrival
-// loop is the only writer during routing, and the Directory carries a
-// mutex only so the concurrent drain phase's evictions stay safe.
+// Nothing here runs its own goroutines. The cluster's router goroutine
+// fetches, migrates and crashes only at barriers, with every replica
+// parked; between barriers the replicas' shard goroutines register and
+// invalidate concurrently, so the Directory carries a mutex. Holder
+// lists are kept sorted, so those concurrent edits commute and the
+// directory at each barrier does not depend on their interleaving.
 //
 //jenga:concurrent the directory mutex serializes observer callbacks arriving from concurrent replica goroutines
 package fleet

@@ -18,7 +18,7 @@ type Store struct {
 	// faults, when set, decides whether each transfer attempt fails;
 	// attempts bounds the per-batch retry loop (≥ 1; 1 = no retry,
 	// the historical behavior). Both are written only between runs
-	// and read only from the serial arrival loop.
+	// and read only from the cluster's router goroutine at barriers.
 	faults   TransferFaults
 	attempts int
 	stats    StoreStats

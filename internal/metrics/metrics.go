@@ -5,124 +5,9 @@ package metrics
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 	"time"
 )
-
-// histBuckets is the DurationHist bucket count: values below 16ns get
-// an exact bucket each; above that, 16 sub-buckets per power of two
-// (≈4.4% relative width) up to the full int64 nanosecond range.
-const histBuckets = 16 * 61
-
-// DurationHist is a log-bucketed duration histogram for streamed
-// percentile accounting: million-request runs can't keep a duration
-// per request, so terminal events fold into fixed-size buckets and
-// percentiles are read back with ≤ ~3% relative error (exact min and
-// max are tracked separately). The bucket function is pure integer
-// math, so histograms are deterministic and Merge-able across shards.
-type DurationHist struct {
-	counts   [histBuckets]int64
-	n        int64
-	sum      int64
-	min, max int64
-}
-
-// histBucket maps a non-negative nanosecond count to its bucket.
-func histBucket(ns int64) int {
-	if ns < 16 {
-		return int(ns)
-	}
-	e := bits.Len64(uint64(ns)) - 1 // 4..62
-	sub := int((uint64(ns) >> (e - 4)) & 15)
-	return 16*(e-3) + sub
-}
-
-// histValue returns the midpoint of bucket idx's value range.
-func histValue(idx int) int64 {
-	if idx < 16 {
-		return int64(idx)
-	}
-	e := idx/16 + 3
-	lo := int64(16+idx%16) << (e - 4)
-	return lo + int64(1)<<(e-4)/2
-}
-
-// Observe adds one duration (negatives clamp to zero).
-func (h *DurationHist) Observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	if h.n == 0 || ns < h.min {
-		h.min = ns
-	}
-	if ns > h.max {
-		h.max = ns
-	}
-	h.counts[histBucket(ns)]++
-	h.n++
-	h.sum += ns
-}
-
-// Merge folds o into h (shard-local histograms into the fleet one).
-func (h *DurationHist) Merge(o *DurationHist) {
-	if o.n == 0 {
-		return
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
-// Count returns the number of observations.
-func (h *DurationHist) Count() int64 { return h.n }
-
-// Mean returns the exact mean of the observed durations.
-func (h *DurationHist) Mean() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.n)
-}
-
-// Percentile returns the nearest-rank p-th percentile, matching
-// Percentile's rank rule (⌈n·p/100⌉) at bucket resolution; rank 1 and
-// rank n return the exact min and max.
-func (h *DurationHist) Percentile(p float64) time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	k := int64(math.Ceil(float64(h.n) * p / 100.0))
-	if k < 1 {
-		k = 1
-	}
-	if k > h.n {
-		k = h.n
-	}
-	if k == 1 {
-		return time.Duration(h.min)
-	}
-	if k == h.n {
-		return time.Duration(h.max)
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= k {
-			return time.Duration(histValue(i))
-		}
-	}
-	return time.Duration(h.max)
-}
 
 // MeanDuration returns the arithmetic mean (0 for empty input).
 func MeanDuration(xs []time.Duration) time.Duration {

@@ -37,8 +37,11 @@
 //     swap-out/swap-in instead of recompute.
 //   - NewCluster scales serving out to N engine replicas behind a
 //     pluggable request router (round-robin, least-loaded,
-//     prefix-affinity); Serve is the deterministic batch path,
-//     ServeOnline routes each arrival against live replica state.
+//     prefix-affinity). One serve loop drives the replicas on shard
+//     goroutines: Serve routes on drained estimates, ServeOnline
+//     routes each arrival against live replica state, and ServeStream
+//     streams a workload through epoch load snapshots. Every
+//     percentile is exact on every path.
 //
 // Quick start:
 //
